@@ -28,14 +28,14 @@ sentence_composer -> per-document reassembly).
 
 from __future__ import annotations
 
-
-
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data
 
 from pdf_extract_ray.config import DEFAULT_CONFIG, ExtractConfig
+from pdf_extract_ray.stages.agg import _bucket_of_arrow, bucketed_group_apply
 from pdf_extract_ray.stages.assemble import assemble_sentences
 from pdf_extract_ray.stages.html_parser import Block, fallback_blocks, parse_html
 from pdf_extract_ray.stages.merge import merge_blocks
@@ -299,47 +299,118 @@ class ParsePagesToBlocks:
         )
 
 
-def _assemble_bucket(bucket, cfg: ExtractConfig):
-    """A hash bucket of block rows (whole url-groups, many urls) -> one
-    extracted row per url.  Explicit (url, page_no, block_no) sort inside
-    the bucket: Ray Data does not guarantee row order across the shuffle
-    (SURVEY.md §1.1)."""
-    import pandas as pd
+def _run_starts(t: pa.Table, keys: list[str]) -> np.ndarray:
+    """First row of each run of equal ``keys`` in ``t``, which is sorted on
+    them (nulls compare equal to each other, as the sort groups them)."""
+    n = t.num_rows
+    change = np.zeros(n, dtype=bool)
+    change[:1] = True
+    if n > 1:
+        for k in keys:
+            a, b = t[k].slice(1), t[k].slice(0, n - 1)
+            ne = pc.coalesce(pc.not_equal(a, b),
+                             pc.not_equal(pc.is_null(a), pc.is_null(b)))
+            change[1:] |= ne.to_numpy()
+    return np.flatnonzero(change)
 
+
+def _sorted(t: pa.Table, keys: list[str]) -> pa.Table:
+    # Arrow's sort_indices is stable, so ties keep their arrival order
+    return t.take(pc.sort_indices(t, [(k, "ascending") for k in keys]))
+
+
+def _assemble_bucket(bucket: pa.Table, cfg: ExtractConfig) -> pa.Table:
+    """A hash bucket of block rows (whole url-groups, many urls) -> one
+    ``EXTRACTED_SCHEMA`` row per url.  Explicit sort inside the bucket:
+    Ray Data does not guarantee row order across the shuffle
+    (SURVEY.md §1.1)."""
     # order = (crawl-record order, DOM order): warc_ts disambiguates
     # multi-row documents (rows of one url must differ in warc_ts);
     # block_ord is the DOM position within a row — the same order the
     # fused plan consumes, regardless of <section data-page> values
-    bucket = bucket.sort_values(["url", "warc_ts", "block_ord"],
-                                kind="mergesort")
-    cols = {k: [] for k in
-            ("url", "warc_ts", "lang", "extracted_text", "n_sentences",
-             "n_pages", "status")}
-    urls = bucket["url"].to_numpy()
-    pages = bucket["page_no"].to_numpy()
-    blnos = bucket["block_no"].to_numpy()
-    tags = bucket["tag"].to_numpy()
-    texts = bucket["text"].to_numpy()
-    # url-group boundaries (bucket is sorted by url)
-    change = np.flatnonzero(urls[1:] != urls[:-1]) + 1
-    starts = np.concatenate(([0], change))
-    ends = np.concatenate((change, [len(urls)]))
-    for s, e in zip(starts, ends):
-        blocks = [
-            Block(int(pages[i]), int(blnos[i]), tags[i], texts[i], False)
-            for i in range(s, e)
-            if texts[i]
-        ]
-        sents = sentences_from_blocks(blocks, cfg)
-        text, n_sents, n_pages = assemble_sentences(sents, cfg)
-        cols["url"].append(urls[s])
-        cols["warc_ts"].append(bucket["warc_ts"].iloc[s])
-        cols["lang"].append(bucket["lang"].iloc[s])
-        cols["extracted_text"].append(text)
-        cols["n_sentences"].append(n_sents)
-        cols["n_pages"].append(n_pages)
-        cols["status"].append(bucket["status"].iloc[s])
-    return pd.DataFrame(cols)
+    bucket = _sorted(bucket, ["url", "warc_ts", "block_ord"])
+    starts = _run_starts(bucket, ["url"])
+    ends = np.append(starts[1:], bucket.num_rows)
+    pages = bucket["page_no"].to_pylist()
+    blnos = bucket["block_no"].to_pylist()
+    tags = bucket["tag"].to_pylist()
+    texts = bucket["text"].to_pylist()
+    out_text, out_sents, out_pages = [], [], []
+    for s, e in zip(starts.tolist(), ends.tolist()):
+        blocks = [Block(pages[i], blnos[i], tags[i], texts[i], False)
+                  for i in range(s, e) if texts[i]]
+        text, n_sents, n_pages = assemble_sentences(
+            sentences_from_blocks(blocks, cfg), cfg)
+        out_text.append(text)
+        out_sents.append(n_sents)
+        out_pages.append(n_pages)
+    first = bucket.take(starts)
+    return pa.table({
+        "url": first["url"],
+        "warc_ts": first["warc_ts"],
+        "lang": first["lang"],
+        "extracted_text": pa.array(out_text, pa.large_string()),
+        "n_sentences": pa.array(out_sents, pa.int32()),
+        "n_pages": pa.array(out_pages, pa.int32()),
+        "status": first["status"],
+    }).cast(EXTRACTED_SCHEMA)
+
+
+# hot-key pre-compaction (``salt=K``), shared by the HTML and PDF staged
+# plans: block rows are tagged with a salt derived from one column, each
+# (url, salt) group is packed into one row of list columns, and the
+# per-url reducer flattens the packed rows before assembling
+_PACKED = ("warc_ts", "lang", "status", "page_no", "block_no", "block_ord",
+           "tag", "text")
+
+
+def add_salt(t: pa.Table, salt_col: str, salt: int) -> pa.Table:
+    """Append ``__salt`` = hash(``salt_col``) mod ``salt``.  Any
+    deterministic value works: the rebuild re-sorts on the order key."""
+    return t.append_column(
+        "__salt", pa.array(_bucket_of_arrow(t, [salt_col], salt), pa.int64()))
+
+
+def compact_blocks(t: pa.Table) -> pa.Table:
+    """Block rows -> one row per (url, __salt): ``url`` plus one list
+    column per ``_PACKED`` column, each list in (warc_ts, block_ord) order.
+    One stable sort for the whole bucket, not one per group."""
+    t = _sorted(t, ["url", "__salt", "warc_ts", "block_ord"])
+    starts = _run_starts(t, ["url", "__salt"])
+    offsets = pa.array(np.append(starts, t.num_rows), pa.int32())
+    return pa.table(
+        {"url": t["url"].take(starts),
+         **{c: pa.ListArray.from_arrays(offsets, t[c].combine_chunks())
+            for c in _PACKED}})
+
+
+def rebuild_blocks(t: pa.Table) -> pa.Table:
+    """Inverse of ``compact_blocks``, up to row order: one block row per
+    packed list element."""
+    counts = pc.list_value_length(t["text"]).to_numpy(zero_copy_only=False)
+    rows = np.repeat(np.arange(t.num_rows), counts)
+    return pa.table(
+        {"url": t["url"].take(rows),
+         **{c: pc.list_flatten(t[c]) for c in _PACKED}})
+
+
+def reassemble_blocks(blocks: "ray.data.Dataset", assemble, *, salt,
+                      salt_col: str) -> "ray.data.Dataset":
+    """The staged plans' wide step: block rows -> ``assemble(bucket)`` per
+    hash bucket of urls.  With ``salt=K > 1``, a first grouped pass on
+    (url, salt-of-``salt_col``) compacts each url's rows into at most K
+    packed rows, so the per-url reducer never handles every raw row of a
+    hot url."""
+    if not salt or salt <= 1:
+        return bucketed_group_apply(blocks, ["url"], assemble,
+                                    body_format="pyarrow")
+    salted = blocks.map_batches(lambda t: add_salt(t, salt_col, salt),
+                                batch_format="pyarrow")
+    compacted = bucketed_group_apply(salted, ["url", "__salt"],
+                                     compact_blocks, body_format="pyarrow")
+    return bucketed_group_apply(compacted, ["url"],
+                                lambda t: assemble(rebuild_blocks(t)),
+                                body_format="pyarrow")
 
 
 def extract_pages_staged(
@@ -364,8 +435,8 @@ def extract_pages_staged(
     PARALLEL (sorting each partial by the order contract), and the final
     per-url reducer merges K compact partials instead of handling every
     raw row.  Byte-identical to the unsalted plan by construction: the
-    rebuild concatenates the partials and runs the SAME
-    ``_assemble_bucket`` (which re-sorts on the full order key)."""
+    rebuild flattens the partials and runs the SAME ``_assemble_bucket``
+    (which re-sorts on the full order key)."""
     if concurrency:
         blocks = pages.map_batches(
             ParsePagesToBlocks, fn_constructor_args=(cfg,),
@@ -377,66 +448,9 @@ def extract_pages_staged(
             _cached(ParsePagesToBlocks, cfg), batch_format="pyarrow",
             batch_size=batch_size,
         )
-    from pdf_extract_ray.stages.agg import bucketed_group_apply
-
-    if not salt or salt <= 1:
-        return bucketed_group_apply(blocks, ["url"],
-                                    lambda g: _assemble_bucket(g, cfg))
-
-    import pandas as pd
-
-    def add_salt(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        # salt on warc_ts: rows of one crawl record stay together, and the
-        # hash is deterministic at any parallelism (stages/agg.py contract)
-        b["__salt"] = (
-            pd.util.hash_pandas_object(b["warc_ts"], index=False)
-            % np.uint64(salt)
-        ).astype("int64")
-        return b
-
-    def compact(bucket: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for (url, s), g in bucket.groupby(["url", "__salt"], sort=False):
-            g = g.sort_values(["warc_ts", "block_ord"], kind="mergesort")
-            rows.append({
-                "url": url,
-                "warc_us": g["warc_ts"].astype("int64").tolist(),
-                "lang": g["lang"].tolist(),
-                "status": g["status"].tolist(),
-                "page_no": g["page_no"].tolist(),
-                "block_no": g["block_no"].tolist(),
-                "block_ord": g["block_ord"].tolist(),
-                "tag": g["tag"].tolist(),
-                "text": g["text"].tolist(),
-            })
-        return pd.DataFrame(rows)
-
-    salted = blocks.map_batches(add_salt, batch_format="pandas")
-    compacted = bucketed_group_apply(salted, ["url", "__salt"], compact)
-
-    def rebuild(bucket: pd.DataFrame) -> pd.DataFrame:
-        import itertools
-
-        def flat(col):
-            return list(itertools.chain.from_iterable(bucket[col]))
-
-        counts = [len(x) for x in bucket["text"]]
-        df = pd.DataFrame({
-            "url": np.repeat(bucket["url"].to_numpy(), counts),
-            "warc_ts": np.array(flat("warc_us"), dtype="int64")
-                         .astype("datetime64[us]"),
-            "lang": flat("lang"),
-            "status": flat("status"),
-            "page_no": np.array(flat("page_no"), dtype="int32"),
-            "block_no": np.array(flat("block_no"), dtype="int32"),
-            "block_ord": np.array(flat("block_ord"), dtype="int32"),
-            "tag": flat("tag"),
-            "text": flat("text"),
-        })
-        return _assemble_bucket(df, cfg)
-
-    return bucketed_group_apply(compacted, ["url"], rebuild)
+    # salt on warc_ts: rows of one crawl record stay together
+    return reassemble_blocks(blocks, lambda t: _assemble_bucket(t, cfg),
+                             salt=salt, salt_col="warc_ts")
 
 
 def extract_sentences(

@@ -1530,12 +1530,9 @@ def extract_pdf_pages_staged(ds, pdf_col: str = "pdf", url_col: str = "url",
     order-keyed shuffle as multi-row HTML documents).  Byte-identical to
     ``extract_pdf_pages`` (tested).  ``salt`` enables the same hot-key
     pre-compaction as ``extract_pages_staged``."""
-    import numpy as np
-    import pandas as pd
     import pyarrow as pa
 
     from pdf_extract_ray.config import DEFAULT_CONFIG
-    from pdf_extract_ray.stages.agg import bucketed_group_apply
     from pdf_extract_ray.stages.layout import tag_page_lines
 
     cfg = cfg or DEFAULT_CONFIG
@@ -1575,64 +1572,12 @@ def extract_pdf_pages_staged(ds, pdf_col: str = "pdf", url_col: str = "url",
             "text": pa.array(cols["text"], pa.large_string()),
         })
 
-    from pdf_extract_ray.pipelines.extract import _assemble_bucket
+    from pdf_extract_ray.pipelines.extract import _assemble_bucket, reassemble_blocks
 
-    blocks = ds.map_batches(explode, batch_format="pyarrow")
+    def assemble(bucket: pa.Table) -> pa.Table:
+        return _assemble_bucket(bucket, cfg).select(
+            ["url", "extracted_text", "n_sentences", "n_pages", "status"])
 
-    def assemble(bucket: pd.DataFrame) -> pd.DataFrame:
-        out = _assemble_bucket(bucket, cfg)
-        return out[["url", "extracted_text", "n_sentences", "n_pages",
-                    "status"]]
-
-    if salt and salt > 1:
-        # reuse the hot-key two-phase shape via the extract module's plan:
-        # compact per (url, salt-of-block_ord) then rebuild + assemble
-        def add_salt(b: pd.DataFrame) -> pd.DataFrame:
-            b = b.copy()
-            b["__salt"] = (pd.util.hash_pandas_object(b["block_ord"], index=False)
-                           % np.uint64(salt)).astype("int64")
-            return b
-
-        def compact(bucket: pd.DataFrame) -> pd.DataFrame:
-            rows = []
-            for (url, s), g in bucket.groupby(["url", "__salt"], sort=False):
-                g = g.sort_values(["block_ord"], kind="mergesort")
-                rows.append({
-                    "url": url,
-                    "warc_us": g["warc_ts"].astype("int64").tolist(),
-                    "lang": g["lang"].tolist(),
-                    "status": g["status"].tolist(),
-                    "page_no": g["page_no"].tolist(),
-                    "block_no": g["block_no"].tolist(),
-                    "block_ord": g["block_ord"].tolist(),
-                    "tag": g["tag"].tolist(),
-                    "text": g["text"].tolist(),
-                })
-            return pd.DataFrame(rows)
-
-        def rebuild(bucket: pd.DataFrame) -> pd.DataFrame:
-            import itertools
-
-            def flat(col):
-                return list(itertools.chain.from_iterable(bucket[col]))
-
-            counts = [len(x) for x in bucket["text"]]
-            df = pd.DataFrame({
-                "url": np.repeat(bucket["url"].to_numpy(), counts),
-                "warc_ts": np.array(flat("warc_us"), dtype="int64")
-                             .astype("datetime64[us]"),
-                "lang": flat("lang"),
-                "status": flat("status"),
-                "page_no": np.array(flat("page_no"), dtype="int32"),
-                "block_no": np.array(flat("block_no"), dtype="int32"),
-                "block_ord": np.array(flat("block_ord"), dtype="int32"),
-                "tag": flat("tag"),
-                "text": flat("text"),
-            })
-            return assemble(df)
-
-        salted = blocks.map_batches(add_salt, batch_format="pandas")
-        compacted = bucketed_group_apply(salted, ["url", "__salt"], compact)
-        return bucketed_group_apply(compacted, ["url"], rebuild)
-
-    return bucketed_group_apply(blocks, ["url"], assemble)
+    # every PDF block row has warc_ts 0, so salt on the DOM position
+    return reassemble_blocks(ds.map_batches(explode, batch_format="pyarrow"),
+                             assemble, salt=salt, salt_col="block_ord")

@@ -198,6 +198,66 @@ def test_staged_salted_byte_identical_under_hot_key_skew(ray_session):
             assert fused[url] == txt
 
 
+def test_staged_plans_emit_the_fused_schema(pages):
+    """Fused, staged and salted staged output the same parquet schema."""
+    from pdf_extract_ray.pipelines.extract import EXTRACTED_SCHEMA
+
+    schemas = [ds.materialize().schema().base_schema for ds in (
+        extract_pages_fused(pages, batch_size=16),
+        extract_pages_staged(pages, batch_size=16),
+        extract_pages_staged(pages, batch_size=16, salt=8))]
+    assert schemas == [EXTRACTED_SCHEMA] * 3
+
+
+def test_compact_blocks_packs_at_most_k_rows_per_url_in_order():
+    """The shared hot-key compaction, called directly: scrambled rows of
+    urls spread over several salts (and more salts than rows) pack into
+    <= K rows per url, each list in (warc_ts, block_ord) order, and
+    rebuilding gives back exactly the input rows."""
+    from collections import Counter
+    from datetime import datetime, timedelta
+
+    import numpy as np
+
+    from pdf_extract_ray.pipelines.extract import (
+        _PACKED, add_salt, compact_blocks, rebuild_blocks)
+
+    rows = []
+    for u, n_rec in (("https://hot.example/a", 40), ("https://b.example/", 5),
+                     ("https://c.example/", 1)):
+        for rec in range(n_rec):
+            for ord_ in range(3):
+                rows.append({
+                    "url": u,
+                    "warc_ts": datetime(2024, 1, 1) + timedelta(seconds=rec),
+                    "lang": "en", "status": "html", "page_no": rec,
+                    "block_no": ord_, "block_ord": ord_, "tag": "P",
+                    "text": f"{u} {rec} {ord_}",
+                })
+    types = {"warc_ts": pa.timestamp("us"), "page_no": pa.int32(),
+             "block_no": pa.int32(), "block_ord": pa.int32(),
+             "text": pa.large_string()}
+    tbl = pa.table({c: pa.array([r[c] for r in rows], types.get(c, pa.string()))
+                    for c in rows[0]})
+    tbl = tbl.take(np.random.default_rng(7).permutation(tbl.num_rows))
+
+    def key(r):
+        return tuple(r[c] for c in ("url", *_PACKED))
+
+    for k in (4, 8, 64):
+        salted = add_salt(tbl, "warc_ts", k)
+        assert len(set(salted["__salt"].to_pylist())) > 1
+        packed = compact_blocks(salted)
+        per_url = Counter(packed["url"].to_pylist())
+        assert max(per_url.values()) <= k
+        assert per_url["https://hot.example/a"] > 1  # spread over salts
+        for r in packed.to_pylist():
+            order = list(zip(r["warc_ts"], r["block_ord"]))
+            assert order == sorted(order)
+        assert (Counter(map(key, rebuild_blocks(packed).to_pylist()))
+                == Counter(map(key, tbl.to_pylist())))
+
+
 def test_output_identical_under_task_retry(ray_session, tmp_path):
     """A worker process dying mid-batch (the failure mode Ray auto-retries;
     deterministic user exceptions are deliberately NOT retried) must not
