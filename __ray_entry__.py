@@ -303,7 +303,8 @@ def q_doc_reassembly(sf_dir: str):
     # task, which is fine for this oracle-sized check but NOT the scale
     # shape.  The scale-safe A7 reassembly is extract_staged's per-url
     # groupby (pipelines/extract.py), whose group size is bounded by
-    # pages-per-document and which supports (url, salt) pre-compaction.
+    # pages-per-document and whose map side packs each url's rows per
+    # input block, so even a hot url reaches one reducer pre-combined.
     ds = _t(sf_dir, "documents", columns=["doc_id", "lang", "source", "text"])
 
     def assemble(g: pd.DataFrame) -> pd.DataFrame:

@@ -29,6 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from ray.data import Dataset
 
@@ -316,6 +318,87 @@ def align_documents(
     return bucketed_group_apply(unioned, [doc_key_col], align_bucket)
 
 
+# pair columns and their types as the merges read them (align_documents'
+# output; a pairs table built elsewhere is cast to these)
+PAIR_TYPES = {
+    "kr_idx": pa.int64(), "en_idx": pa.int64(), "kr_text": pa.string(),
+    "en_text": pa.string(), "match_type": pa.string(),
+    "similarity": pa.float64(), "pair_seq": pa.int64(),
+}
+
+
+def _cogroup_merge(sides, pairs, body, *, doc_key_col: str,
+                   order_col: str) -> Dataset:
+    """Cogroup sentence streams and the pairs by document key with the
+    sort-based bucketed shuffle (the plan of :func:`align_documents`), not
+    Ray's hash-shuffle ``Dataset.join``, whose per-partition aggregator
+    actors hold CPUs and can stall a small session.  ``sides`` are tagged
+    ``__side`` 0, 1, ...; pair rows are tagged -1 and cast to
+    ``PAIR_TYPES``.  ``body(sents_by_side, pairs)`` gets one bucket: a
+    list of per-side Arrow tables and the bucket's pairs."""
+    from pdf_extract_ray.stages.agg import bucketed_group_apply
+
+    def tag(side: int):
+        def f(t: pa.Table) -> pa.Table:
+            return t.append_column(
+                "__side", pa.array(np.full(t.num_rows, side, np.int8)))
+        return f
+
+    def tag_pairs(t: pa.Table) -> pa.Table:
+        return tag(-1)(pa.table(
+            {doc_key_col: t[doc_key_col],
+             **{c: t[c].cast(ty) for c, ty in PAIR_TYPES.items()}}))
+
+    u = pairs.map_batches(tag_pairs, batch_format="pyarrow")
+    for i, ds in enumerate(sides):
+        u = u.union(ds.map_batches(tag(i), batch_format="pyarrow"))
+
+    def apply(g: pa.Table) -> pa.Table:
+        if order_col not in g.column_names:
+            # pairs of documents without sentences
+            return g.slice(0, 0).select([doc_key_col])
+        # a bucket without pair rows lacks the pair columns (the shuffle
+        # fills only columns some block of the bucket carries)
+        for c, ty in PAIR_TYPES.items():
+            if c not in g.column_names:
+                g = g.append_column(c, pa.nulls(g.num_rows, ty))
+        sent_cols = [c for c in g.column_names
+                     if c not in PAIR_TYPES and c != "__side"]
+        side = g["__side"]
+        p = g.filter(pc.equal(side, -1)).select([doc_key_col, *PAIR_TYPES])
+        return body([g.filter(pc.equal(side, i)).select(sent_cols)
+                     for i in range(len(sides))], p)
+
+    return bucketed_group_apply(u, [doc_key_col], apply, body_format="pyarrow")
+
+
+def _left_merge(sents: pa.Table, pairs: pa.Table, *, side: str,
+                doc_key_col: str, order_col: str) -> pa.Table:
+    """One bucket of :func:`merge_aligned`."""
+    idx_col = f"{side}_idx"
+    other = "en" if side == "kr" else "kr"
+    # one pair per source sentence: if the anchor and the Hungarian
+    # assignment disagree on the same kr header, the LAST pair (by
+    # pair_seq, the aligner's emit order) wins — the reference's
+    # dict-overwrite semantics (create_csv.py:64-75).  Done per bucket,
+    # which holds every pair of its documents: a per-batch dedup would
+    # let duplicates that straddle a batch boundary both survive and fan
+    # out the join (one-row-per-sentence contract).
+    cols = [doc_key_col, idx_col, f"{other}_idx", f"{other}_text",
+            "match_type", "similarity"]
+    dd = (pairs.to_pandas().sort_values("pair_seq", kind="mergesort")
+          .drop_duplicates([doc_key_col, idx_col], keep="last"))
+    right = pa.Table.from_pandas(dd[cols], schema=pairs.select(cols).schema,
+                                 preserve_index=False)
+    right = right.set_column(1, idx_col, right[idx_col].cast(
+        sents.schema.field(order_col).type))
+    out = sents.join(right, keys=[doc_key_col, order_col],
+                     right_keys=[doc_key_col, idx_col], join_type="left outer")
+    return out.set_column(
+        out.schema.get_field_index("match_type"), "match_type",
+        pc.fill_null(out["match_type"], "unmatched"))
+
+
 def merge_aligned(
     sents: Dataset,
     pairs: Dataset,
@@ -323,49 +406,15 @@ def merge_aligned(
     side: str = "kr",
     doc_key_col: str = "doc_key",
     order_col: str = "sent_no",
-    num_partitions: int = 8,
 ) -> Dataset:
     """LEFT JOIN of a language stream onto the aligned pairs (J6/J7,
     create_csv.py:47-199): every source sentence appears; unmatched rows
-    get match_type='unmatched'."""
-    idx_col = f"{side}_idx"
-    keep = [doc_key_col, idx_col, f"{'en' if side == 'kr' else 'kr'}_idx",
-            f"{'en' if side == 'kr' else 'kr'}_text", "match_type", "similarity",
-            "pair_seq"]
-
-    def prep(b):
-        return b[keep].rename(columns={doc_key_col: "__pk"})
-
-    def dedup(g: pd.DataFrame) -> pd.DataFrame:
-        # one pair per source sentence: if the anchor and the Hungarian
-        # assignment disagree on the same kr header, the LAST pair (by
-        # pair_seq, the aligner's emit order) wins — the reference's
-        # dict-overwrite semantics (create_csv.py:64-75).  Done as a
-        # GROUPED step: duplicate (doc, idx) pairs that straddle a
-        # map_batches boundary would both survive a per-batch dedup and
-        # then fan out the left join (one-row-per-sentence contract).
-        g = g.sort_values("pair_seq", kind="mergesort").drop_duplicates(
-            ["__pk", idx_col], keep="last")
-        return g.drop(columns=["pair_seq"])
-
-    from pdf_extract_ray.stages.agg import bucketed_group_apply
-
-    # repartition coalesces the grouped-dedup output: sparse buckets emit
-    # schema-less empty blocks that Ray's hash join rejects ("no match for
-    # key field __pk"); the pair set is tiny, so this exchange is cheap
-    p = bucketed_group_apply(
-        pairs.map_batches(prep, batch_format="pandas"), ["__pk", idx_col], dedup
-    ).repartition(num_partitions)
-    joined = sents.join(
-        p, join_type="left_outer", num_partitions=num_partitions,
-        on=(doc_key_col, order_col), right_on=("__pk", idx_col),
-    )
-
-    def finish(b: pd.DataFrame) -> pd.DataFrame:
-        b["match_type"] = b["match_type"].fillna("unmatched")
-        return b.drop(columns=["__pk"], errors="ignore")
-
-    return joined.map_batches(finish, batch_format="pandas")
+    get match_type='unmatched'.  One cogroup shuffle by document key."""
+    return _cogroup_merge(
+        [sents], pairs,
+        lambda s, p: _left_merge(s[0], p, side=side, doc_key_col=doc_key_col,
+                                 order_col=order_col),
+        doc_key_col=doc_key_col, order_col=order_col)
 
 
 def merge_full_outer(
@@ -375,30 +424,26 @@ def merge_full_outer(
     *,
     doc_key_col: str = "doc_key",
     order_col: str = "sent_no",
-    num_partitions: int = 8,
 ) -> Dataset:
     """FULL OUTER view (J8, create_csv.py:202-319): the KR-driven merge plus
-    EN sentences that matched nothing, appended with match_type='unmatched'."""
-    kr_view = merge_aligned(kr_sents, pairs, side="kr",
-                            doc_key_col=doc_key_col, order_col=order_col,
-                            num_partitions=num_partitions)
+    EN sentences that matched nothing, appended with match_type='unmatched'.
+    One cogroup shuffle of both streams and the pairs by document key."""
 
-    matched_en = pairs.map_batches(
-        lambda b: b[[doc_key_col, "en_idx"]].rename(
-            columns={doc_key_col: "__pk"}),
-        batch_format="pandas",
-    )
-    unmatched_en = en_sents.join(
-        matched_en, join_type="left_anti", num_partitions=num_partitions,
-        on=(doc_key_col, order_col), right_on=("__pk", "en_idx"),
-    )
+    def body(s, p):
+        kr, en = s
+        view = _left_merge(kr, p, side="kr", doc_key_col=doc_key_col,
+                           order_col=order_col)
+        matched = p.select([doc_key_col]).append_column(
+            "en_idx", p["en_idx"].cast(en.schema.field(order_col).type))
+        un = en.join(matched, keys=[doc_key_col, order_col],
+                     right_keys=[doc_key_col, "en_idx"], join_type="left anti")
+        extra = {"en_idx": un[order_col], "en_text": un["text"],
+                 "match_type": pa.array(["unmatched"] * un.num_rows),
+                 "similarity": pa.nulls(un.num_rows, pa.float64())}
+        for c, col in extra.items():
+            un = un.append_column(c, col)
+        return pa.concat_tables([view, un.select(view.column_names)
+                                 .cast(view.schema)])
 
-    def as_unmatched(b: pd.DataFrame) -> pd.DataFrame:
-        out = b.copy()
-        out["en_idx"] = out[order_col]
-        out["en_text"] = out["text"]
-        out["match_type"] = "unmatched"
-        out["similarity"] = np.nan
-        return out
-
-    return kr_view.union(unmatched_en.map_batches(as_unmatched, batch_format="pandas"))
+    return _cogroup_merge([kr_sents, en_sents], pairs, body,
+                          doc_key_col=doc_key_col, order_col=order_col)

@@ -11,15 +11,21 @@ output at any parallelism level:
   shuffle every byte for nothing — the fused plan is the scale-optimal
   plan and is embarrassingly parallel with zero all-to-all movement.
 * **staged**: parse explodes pages into per-page block rows
-  (``flat_map``-style batch fn), then an explicit
-  ``groupby("url").map_groups`` reassembles documents.  This is the plan
-  for inputs where a document's pages arrive as separate rows (the
-  general crawl case) and is the pipeline's one wide shuffle; group size
-  is bounded by pages-per-document so the key is skew-safe by
-  construction (host-level input skew is decoupled by the hash shuffle
-  itself — SURVEY.md §4.2).  ORDER CONTRACT for multi-row documents:
-  rows of one url are ordered by ``warc_ts`` (then per-row page/block
-  numbers), so multi-row urls must carry distinct warc_ts values.
+  (``flat_map``-style batch fn) and, in the same map task, packs each
+  url's rows of the block into one row of list columns
+  (``compact_blocks``); one sort-based shuffle on url
+  (``bucketed_group_apply``) then reassembles documents.  This is the
+  plan for inputs where a document's pages arrive as separate rows (the
+  general crawl case) and is the pipeline's one wide shuffle.  Host-level
+  input skew is decoupled by the hash shuffle itself, and a hot url
+  (redirect storm, mirror farm) reaches its reducer as at most one packed
+  row per input block, never as every raw block row (SURVEY.md §4.2).
+  This replaced a salted two-shuffle plan: on perfbench
+  ``staged_multirow_skew`` (seed 3, traced, 1 Ray CPU) ``staged_s`` went
+  from 0.80 / 0.92 s to 0.59 / 0.59 s.
+  ORDER CONTRACT for multi-row documents: rows of one url are ordered by
+  ``warc_ts`` (then DOM order within the row), so multi-row urls must
+  carry distinct warc_ts values.
 
 Reference lifecycle being re-expressed: SURVEY.md §3.3/§3.4
 (pdf_to_json/main.py page loop -> merge_consecutive_tags ->
@@ -35,7 +41,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from pdf_extract_ray.config import DEFAULT_CONFIG, ExtractConfig
-from pdf_extract_ray.stages.agg import _bucket_of_arrow, bucketed_group_apply
+from pdf_extract_ray.stages.agg import bucketed_group_apply
 from pdf_extract_ray.stages.assemble import assemble_sentences
 from pdf_extract_ray.stages.html_parser import Block, fallback_blocks, parse_html
 from pdf_extract_ray.stages.merge import merge_blocks
@@ -356,27 +362,20 @@ def _assemble_bucket(bucket: pa.Table, cfg: ExtractConfig) -> pa.Table:
     }).cast(EXTRACTED_SCHEMA)
 
 
-# hot-key pre-compaction (``salt=K``), shared by the HTML and PDF staged
-# plans: block rows are tagged with a salt derived from one column, each
-# (url, salt) group is packed into one row of list columns, and the
-# per-url reducer flattens the packed rows before assembling
+# map-side packing, shared by the HTML and PDF staged plans: inside each
+# parse-map output block every url's block rows become one row of list
+# columns, and the per-url reducer flattens the packed rows before
+# assembling
 _PACKED = ("warc_ts", "lang", "status", "page_no", "block_no", "block_ord",
            "tag", "text")
 
 
-def add_salt(t: pa.Table, salt_col: str, salt: int) -> pa.Table:
-    """Append ``__salt`` = hash(``salt_col``) mod ``salt``.  Any
-    deterministic value works: the rebuild re-sorts on the order key."""
-    return t.append_column(
-        "__salt", pa.array(_bucket_of_arrow(t, [salt_col], salt), pa.int64()))
-
-
 def compact_blocks(t: pa.Table) -> pa.Table:
-    """Block rows -> one row per (url, __salt): ``url`` plus one list
-    column per ``_PACKED`` column, each list in (warc_ts, block_ord) order.
-    One stable sort for the whole bucket, not one per group."""
-    t = _sorted(t, ["url", "__salt", "warc_ts", "block_ord"])
-    starts = _run_starts(t, ["url", "__salt"])
+    """Block rows -> one row per url: ``url`` plus one list column per
+    ``_PACKED`` column, each list in (warc_ts, block_ord) order.  One
+    stable sort for the whole block, not one per url."""
+    t = _sorted(t, ["url", "warc_ts", "block_ord"])
+    starts = _run_starts(t, ["url"])
     offsets = pa.array(np.append(starts, t.num_rows), pa.int32())
     return pa.table(
         {"url": t["url"].take(starts),
@@ -394,23 +393,16 @@ def rebuild_blocks(t: pa.Table) -> pa.Table:
          **{c: pc.list_flatten(t[c]) for c in _PACKED}})
 
 
-def reassemble_blocks(blocks: "ray.data.Dataset", assemble, *, salt,
-                      salt_col: str) -> "ray.data.Dataset":
-    """The staged plans' wide step: block rows -> ``assemble(bucket)`` per
-    hash bucket of urls.  With ``salt=K > 1``, a first grouped pass on
-    (url, salt-of-``salt_col``) compacts each url's rows into at most K
-    packed rows, so the per-url reducer never handles every raw row of a
-    hot url."""
-    if not salt or salt <= 1:
-        return bucketed_group_apply(blocks, ["url"], assemble,
-                                    body_format="pyarrow")
-    salted = blocks.map_batches(lambda t: add_salt(t, salt_col, salt),
-                                batch_format="pyarrow")
-    compacted = bucketed_group_apply(salted, ["url", "__salt"],
-                                     compact_blocks, body_format="pyarrow")
-    return bucketed_group_apply(compacted, ["url"],
-                                lambda t: assemble(rebuild_blocks(t)),
-                                body_format="pyarrow")
+def reassemble_blocks(blocks: "ray.data.Dataset", assemble) -> "ray.data.Dataset":
+    """The staged plans' wide step, one shuffle: block rows ->
+    ``assemble(bucket)`` per hash bucket of urls.  ``compact_blocks`` runs
+    first on every block, in the same task as the shuffle's bucket-tag map
+    and, unless the parse map is an actor pool (``concurrency=``), as the
+    parse map too; a hot url reaches its reducer as at most one packed row
+    per input block, never as every raw block row."""
+    return bucketed_group_apply(
+        blocks.map_batches(compact_blocks, batch_format="pyarrow"), ["url"],
+        lambda t: assemble(rebuild_blocks(t)), body_format="pyarrow")
 
 
 def extract_pages_staged(
@@ -421,22 +413,24 @@ def extract_pages_staged(
     concurrency=None,
     salt: int | None = None,
 ) -> "ray.data.Dataset":
-    """pages -> blocks (explode) -> groupby(url) -> extracted.
+    """pages -> blocks (explode, packed per url per block) ->
+    groupby(url) -> extracted.
 
-    THE wide step (SURVEY.md §2.5 A7): the groupby hash-partitions block
-    rows by url.  Must produce byte-identical output to the fused plan.
+    THE wide step (SURVEY.md §2.5 A7): one sort-based shuffle
+    hash-partitions the packed block rows by url.  Must produce
+    byte-identical output to the fused plan.
 
-    ``salt``: hot-key pre-compaction (SURVEY.md §4.2 "salt skewed
-    hosts").  Per-url group size is bounded by pages-per-document for
-    normal crawls, but a redirect storm / mirror farm can repeat ONE url
-    across millions of rows, landing them all on one reducer.  With
-    ``salt=K``, a first grouped pass on ``(url, salt-of-warc_ts)``
-    compacts each url's rows into at most K list-packed partial rows IN
-    PARALLEL (sorting each partial by the order contract), and the final
-    per-url reducer merges K compact partials instead of handling every
-    raw row.  Byte-identical to the unsalted plan by construction: the
-    rebuild flattens the partials and runs the SAME ``_assemble_bucket``
-    (which re-sorts on the full order key)."""
+    Skew (SURVEY.md §4.2 "salt skewed hosts"): a redirect storm / mirror
+    farm can repeat ONE url across millions of rows.  The parse map task
+    packs each url's rows of its block into one list row, so the per-url
+    reducer merges one partial per input block of that url instead of
+    every raw row; the reducer flattens the partials and re-sorts on the
+    full order key, so packing cannot change the output.  One shuffle
+    instead of the salted plan's two: perfbench ``staged_multirow_skew``
+    ``staged_s`` 0.80 / 0.92 s -> 0.59 / 0.59 s (seed 3, 1 Ray CPU).
+
+    ``salt`` is accepted and ignored: map-side packing replaced the
+    salted two-pass plan, and the keyword no longer changes the plan."""
     if concurrency:
         blocks = pages.map_batches(
             ParsePagesToBlocks, fn_constructor_args=(cfg,),
@@ -448,9 +442,7 @@ def extract_pages_staged(
             _cached(ParsePagesToBlocks, cfg), batch_format="pyarrow",
             batch_size=batch_size,
         )
-    # salt on warc_ts: rows of one crawl record stay together
-    return reassemble_blocks(blocks, lambda t: _assemble_bucket(t, cfg),
-                             salt=salt, salt_col="warc_ts")
+    return reassemble_blocks(blocks, lambda t: _assemble_bucket(t, cfg))
 
 
 def extract_sentences(

@@ -161,7 +161,6 @@ def incremental_host_graph(
     *,
     html_col: str = "html",
     url_col: str = "url",
-    num_partitions: int = 8,
 ):
     """One crawl increment -> ``(url_edges, host_graph)`` datasets.
 
@@ -178,8 +177,8 @@ def incremental_host_graph(
     * ``url_edges`` = the next generation's per-url edge store: stored
       rows of stale urls dropped, fresh rows unioned in.
 
-    Scale shape: two narrow maps + three inner joins on url (verdict
-    lists only) + one grouped sum over host-level rows."""
+    Scale shape: two narrow maps + three url-list cogroups
+    (``filter_to_changed``) + one grouped sum over host-level rows."""
     import numpy as np
     import pandas as pd
     import ray.data as rd  # noqa: F401  (callers pass datasets in)
@@ -189,15 +188,13 @@ def incremental_host_graph(
     from pdf_extract_ray.stages.links import url_host_link_edges
 
     fresh = url_host_link_edges(
-        filter_to_changed(new_pages, diff, url_col=url_col,
-                          num_partitions=num_partitions),
+        filter_to_changed(new_pages, diff, url_col=url_col),
         html_col, url_col)
 
     # stale = stored edge rows whose src url changed or disappeared;
-    # filter_to_changed is exactly the url-list inner join we need
+    # filter_to_changed is exactly the url-list semi-join we need
     stale = filter_to_changed(old_url_edges, diff, url_col="src_url",
-                              statuses=("changed", "removed"),
-                              num_partitions=num_partitions)
+                              statuses=("changed", "removed"))
 
     def negate(b: pd.DataFrame) -> pd.DataFrame:
         out = b[["src_host", "dst_host"]].copy()
@@ -217,7 +214,6 @@ def incremental_host_graph(
     # next generation's url-edge store: everything stored for urls that
     # did NOT move, plus the freshly parsed rows
     kept = filter_to_changed(old_url_edges, diff, url_col="src_url",
-                             statuses=("unchanged",),
-                             num_partitions=num_partitions)
+                             statuses=("unchanged",))
     url_edges = kept.union(fresh)
     return {"url_edges": url_edges, "host_graph": graph}

@@ -145,7 +145,6 @@ def incremental_quality_pairs(
     eng_col: str = "en_text",
     order_col: str = "doc_id",
     dedup: bool = True,
-    num_partitions: int = 8,
 ) -> Dataset:
     """Quality-analyze ONLY the added/changed pairs of an increment —
     unchanged pairs never re-analyze (their rows never reach the fused
@@ -166,8 +165,7 @@ def incremental_quality_pairs(
 
     keyed = _with_pair_content(new_pairs, kor_col, eng_col)
     diff = crawl_diff_against_store(keyed, store_dir)
-    changed = filter_to_changed(keyed, diff, url_col=order_col,
-                                num_partitions=num_partitions)
+    changed = filter_to_changed(keyed, diff, url_col=order_col)
     changed = changed.map_batches(
         lambda b: b.drop(columns=[PAIR_CONTENT_COL]),
         batch_format="pandas")

@@ -200,7 +200,12 @@ def webtext_run(
 
     from pdf_extract_ray.pipelines.runner import _rows_written
     from pdf_extract_ray.state.manifest import run_partitioned
+    from pdf_extract_ray.stages.lm import DEFAULT_TAIL_MIN
     from pdf_extract_ray import __version__
+
+    # the gate and the run identity read the same resolved threshold
+    if lm_tail_min is None:
+        lm_tail_min = DEFAULT_TAIL_MIN
 
     def _read(files: list[str]):
         if files[0].endswith((".wet", ".wet.gz")):
@@ -274,15 +279,10 @@ def webtext_run(
             ds = filter_by_term_blocklist(
                 ds, banned_words or [], banned_phrases, text_col=col)
         if lm_model is not None:
-            from pdf_extract_ray.stages.lm import (
-                DEFAULT_TAIL_MIN,
-                perplexity_filter,
-            )
+            from pdf_extract_ray.stages.lm import perplexity_filter
 
-            ds = perplexity_filter(
-                ds, lm_model, text_col=col,
-                tail_min=(DEFAULT_TAIL_MIN if lm_tail_min is None
-                          else lm_tail_min))
+            ds = perplexity_filter(ds, lm_model, text_col=col,
+                                   tail_min=lm_tail_min)
         if per_lang_rules:
             from pdf_extract_ray.stages.langquality import webtext_tiers_lang
 
@@ -345,7 +345,8 @@ def webtext_run(
                         "lm_model": _lm_digest(lm_model),
                         "lm_tail_min": str(lm_tail_min),
                         "banned_terms": repr(
-                            (sorted(banned_words), sorted(banned_phrases))
+                            (sorted(banned_words or []),
+                             sorted(banned_phrases))
                             if (banned_words is not None or banned_phrases)
                             else None),
                         "rules": repr(sorted(rules.items()))},

@@ -1522,14 +1522,13 @@ def extract_pdf_pages(ds, pdf_col: str = "pdf", url_col: str = "url", cfg=None):
 
 
 def extract_pdf_pages_staged(ds, pdf_col: str = "pdf", url_col: str = "url",
-                             cfg=None, salt: int | None = None):
+                             cfg=None):
     """Staged PDF plan: explode each PDF into per-page BLOCK rows, then
     reuse the HTML staged plan's per-url bucketed assembly — the S2
     "splitter" analogue for huge PDFs (a 1000-page file's layout tagging
     parallelizes per input row, and the block rows flow through the same
-    order-keyed shuffle as multi-row HTML documents).  Byte-identical to
-    ``extract_pdf_pages`` (tested).  ``salt`` enables the same hot-key
-    pre-compaction as ``extract_pages_staged``."""
+    order-keyed shuffle as multi-row HTML documents, packed per url in
+    the map task).  Byte-identical to ``extract_pdf_pages`` (tested)."""
     import pyarrow as pa
 
     from pdf_extract_ray.config import DEFAULT_CONFIG
@@ -1578,6 +1577,5 @@ def extract_pdf_pages_staged(ds, pdf_col: str = "pdf", url_col: str = "url",
         return _assemble_bucket(bucket, cfg).select(
             ["url", "extracted_text", "n_sentences", "n_pages", "status"])
 
-    # every PDF block row has warc_ts 0, so salt on the DOM position
     return reassemble_blocks(ds.map_batches(explode, batch_format="pyarrow"),
-                             assemble, salt=salt, salt_col="block_ord")
+                             assemble)

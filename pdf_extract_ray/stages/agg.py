@@ -153,8 +153,7 @@ def bucketed_group_apply(
 
     return (
         ds.map_batches(
-            add_bucket, batch_format="pyarrow",
-            batch_size=pre_batch_size if pre_batch_size else "default",
+            add_bucket, batch_format="pyarrow", batch_size=pre_batch_size,
         )
         .groupby("__bucket")
         .map_groups(apply, batch_format=body_format)

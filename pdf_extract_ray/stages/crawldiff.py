@@ -25,6 +25,8 @@ import hashlib
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 from ray.data import Dataset
 
 
@@ -102,8 +104,6 @@ def crawl_diff_hashes(
     """The diff cogroup over two precomputed ``(url, h)`` hash datasets
     (the :func:`content_hashes` schema) — the entry point a persistent
     hash store uses so the old crawl is never re-hashed."""
-    import pyarrow as pa
-
     from pdf_extract_ray.stages.agg import bucketed_group_apply
 
     def tag(side: int):
@@ -222,33 +222,34 @@ def filter_to_changed(
     *,
     url_col: str = "url",
     statuses: tuple = ("added", "changed"),
-    num_partitions: int = 8,
 ) -> Dataset:
     """The incremental-crawl ending: keep only the new crawl's pages
     whose diff status is in ``statuses`` — downstream extraction/tiering
     then processes just what moved.  Verdicts shrink to a narrow url
-    list; page bodies are kept or dropped by one hash join (partition
-    count kept at the documented small-CPU-safe default; the pre-join
-    repartition normalizes the cogroup output's block schemas)."""
+    list; page bodies and the list meet in one tag-union-bucket cogroup
+    by url (the sort-based shuffle: Ray's hash-shuffle ``Dataset.join``
+    holds CPUs in per-partition actors and can stall a small session).
+    Output columns are exactly ``new``'s."""
+    from pdf_extract_ray.stages.agg import bucketed_group_apply
 
-    def as_urls(b: pd.DataFrame) -> pd.DataFrame:
-        keep = b[b["status"].isin(statuses)]
-        # object (string) key columns must be explicitly string-typed so
-        # an EMPTY batch doesn't become an Arrow null column (join
-        # schema mismatch); non-object keys (int ids — the quality
-        # pipeline's order_col) keep their dtype
-        vals = keep["url"]
-        if vals.dtype == object:
-            vals = pd.array(vals.tolist(), dtype="string")
-        else:
-            vals = vals.to_numpy()
-        return pd.DataFrame({"__changed_url": vals})
+    def as_urls(t: pa.Table) -> pa.Table:
+        keep = t.filter(pc.is_in(t["status"], pa.array(list(statuses))))
+        return pa.table({url_col: keep["url"],
+                         "__verdict": pa.array(np.ones(keep.num_rows, bool))})
 
-    verd = diff.map_batches(as_urls, batch_format="pandas") \
-        .repartition(num_partitions)
-    return new.join(verd, join_type="inner",
-                    num_partitions=num_partitions,
-                    on=(url_col,), right_on=("__changed_url",))
+    def is_page(t: pa.Table) -> pa.Table:
+        return t.append_column(
+            "__verdict", pa.array(np.zeros(t.num_rows, bool)))
+
+    def keep_moved(g: pa.Table) -> pa.Table:
+        verdict = g["__verdict"]
+        moved = g.filter(verdict)[url_col]
+        pages = g.filter(pc.invert(verdict)).drop_columns(["__verdict"])
+        return pages.filter(pc.is_in(pages[url_col], moved.combine_chunks()))
+
+    u = new.map_batches(is_page, batch_format="pyarrow").union(
+        diff.map_batches(as_urls, batch_format="pyarrow"))
+    return bucketed_group_apply(u, [url_col], keep_moved, body_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------

@@ -336,7 +336,7 @@ def dedup_by_components(
     in the component).  Documents appearing in no pair pass through."""
     comp = connected_components(pairs, max_iters=max_iters)
     # repartition coalesces schema-less empty blocks from sparse buckets,
-    # which Ray's hash join rejects (same guard as align.merge_aligned)
+    # which Ray's hash join rejects
     drop = comp.filter(expr="node != component").map_batches(
         lambda b: b[["node"]], batch_format="pandas"
     ).repartition(num_partitions).materialize()

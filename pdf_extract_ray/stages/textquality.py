@@ -1553,6 +1553,16 @@ SELECT {id_col}, pos, quote, n_words FROM f
 """
 
 
+def _id_range(b: pd.DataFrame, id_col: str) -> pd.DataFrame:
+    """Per-batch (min, max) of ``id_col``; no row for a batch without
+    ids, so an empty block adds nothing to the global range."""
+    if b[id_col].count() == 0:
+        return pd.DataFrame({"mn": pd.Series([], dtype="int64"),
+                             "mx": pd.Series([], dtype="int64")})
+    return pd.DataFrame({"mn": [np.int64(b[id_col].min())],
+                         "mx": [np.int64(b[id_col].max())]})
+
+
 def heaps_fit(ds, *, id_col: str = "doc_id", text_col: str = "text",
               k_checkpoints: int = 8):
     """Heaps'-law vocabulary-growth fit — the tokenizer-sizing twin of
@@ -1579,11 +1589,8 @@ def heaps_fit(ds, *, id_col: str = "doc_id", text_col: str = "text",
     from pdf_extract_ray.stages.agg import grouped_aggregate
 
     word_re = _re.compile(r"[a-z0-9]+")
-    ids_mm = ds.map_batches(
-        lambda b: pd.DataFrame({
-            "mn": [np.int64(b[id_col].min())],
-            "mx": [np.int64(b[id_col].max())]}),
-        batch_format="pandas").to_pandas()
+    ids_mm = ds.map_batches(_id_range, fn_args=(id_col,),
+                            batch_format="pandas").to_pandas()
     if len(ids_mm) == 0:
         return pd.DataFrame({c: [] for c in
                              ("ckpt", "max_doc_id", "n_tokens", "vocab",

@@ -116,77 +116,48 @@ def test_staged_multi_row_url_deterministic(ray_session):
     assert outs == {"part 0 sentence.\npart 1 sentence.\npart 2 sentence."}
 
 
-def test_staged_salted_byte_identical_under_hot_key_skew(ray_session):
-    """Hot-key salting (SURVEY.md §4.2 'salt skewed hosts'): a corpus where
-    ONE url owns ~30% of all block rows (redirect-storm shape) must
-    produce byte-identical output from the salted two-phase plan, the
-    unsalted plan, and the fused plan — at any partitioning."""
+def _storm_pages(n):
+    """``n`` rows of one redirect-storm url, distinct warc_ts (order
+    contract), one sentence each."""
     from datetime import datetime, timedelta
 
+    return pa.table({
+        "url": pa.array(["https://hot.example/storm"] * n),
+        "warc_ts": pa.array([datetime(2024, 3, 1) + timedelta(seconds=i)
+                             for i in range(n)], pa.timestamp("us")),
+        "html": pa.array([f"<p>storm fragment {i} sentence.</p>".encode()
+                          for i in range(n)], pa.binary()),
+        "text": pa.array([None] * n, pa.large_string()),
+        "lang": pa.array(["en"] * n),
+    })
+
+
+def test_staged_salted_byte_identical_under_hot_key_skew(ray_session):
+    """Hot-key skew (SURVEY.md §4.2 'salt skewed hosts'): a corpus where
+    ONE url owns ~30% of all block rows (redirect-storm shape) must
+    produce byte-identical output from the staged plan at any
+    partitioning (so any number of map-side packed rows per url), with
+    the inert ``salt=`` keyword, and from the fused plan."""
     import ray.data as rd
 
-    from pdf_extract_ray.corpus import pages_table
-    from pdf_extract_ray.pipelines.extract import extract_pages_fused
-
     base = pages_table(70, seed=11)
-    # the hot url: 30 rows (~30% of rows), distinct warc_ts (order contract)
-    hot = []
-    for i in range(30):
-        hot.append({
-            "url": "https://hot.example/storm",
-            "warc_ts": datetime(2024, 3, 1) + timedelta(seconds=i),
-            "html": f"<p>storm fragment {i} sentence.</p>".encode(),
-            "text": None, "lang": "en",
-        })
-    hot_tbl = pa.table({
-        "url": pa.array([r["url"] for r in hot]),
-        "warc_ts": pa.array([r["warc_ts"] for r in hot], pa.timestamp("us")),
-        "html": pa.array([r["html"] for r in hot], pa.binary()),
-        "text": pa.array([r["text"] for r in hot], pa.large_string()),
-        "lang": pa.array([r["lang"] for r in hot]),
-    })
+    hot_tbl = _storm_pages(30)  # ~30% of rows
     corpus = pa.concat_tables([base.select(hot_tbl.column_names), hot_tbl])
 
-    def run(**kw):
-        ds = rd.from_arrow(corpus).repartition(6)
+    def run(nparts=6, **kw):
+        ds = rd.from_arrow(corpus).repartition(nparts)
         return {r["url"]: (r["extracted_text"], str(r["warc_ts"]), r["status"])
                 for r in extract_pages_staged(ds, **kw).take_all()}
 
     unsalted = run()
+    assert run(nparts=1) == unsalted  # the hot url packs into one row
+    assert run(nparts=13) == unsalted
+    assert run(concurrency=1) == unsalted  # actor-pool parse
     salted = run(salt=8)
-    salted_big = run(salt=64)  # more salts than rows of most urls
+    salted_big = run(salt=64)
     assert salted == unsalted
     assert salted_big == unsalted
 
-    # structural invariant: the per-url reducer receives at most K compact
-    # rows per url instead of every raw block row (30 for the hot url here,
-    # millions in a real redirect storm)
-    from pdf_extract_ray.config import DEFAULT_CONFIG
-    from pdf_extract_ray.pipelines.extract import ParsePagesToBlocks
-    from pdf_extract_ray.stages.agg import bucketed_group_apply
-    import pandas as pd
-    import numpy as np
-
-    ds = rd.from_arrow(corpus).repartition(6)
-    blocks = ds.map_batches(ParsePagesToBlocks, fn_constructor_args=(DEFAULT_CONFIG,),
-                            batch_format="pyarrow", concurrency=2, num_cpus=1)
-
-    def add_salt(b):
-        b = b.copy()
-        b["__s"] = (pd.util.hash_pandas_object(b["warc_ts"], index=False)
-                    % np.uint64(8)).astype("int64")
-        return b
-
-    def compact_count(g):
-        return g.groupby(["url", "__s"], as_index=False).size()
-
-    compacted = bucketed_group_apply(
-        blocks.map_batches(add_salt, batch_format="pandas"), ["url", "__s"],
-        compact_count).to_pandas()
-    per_url = compacted.groupby("url").size()
-    assert per_url["https://hot.example/storm"] <= 8
-    raw_rows = compacted.groupby("url")["size"].sum()
-    assert raw_rows["https://hot.example/storm"] >= 30
     # the hot url assembled all 30 fragments in warc_ts order
     text = unsalted["https://hot.example/storm"][0]
     assert text.split("\n") == [f"storm fragment {i} sentence." for i in range(30)]
@@ -199,32 +170,24 @@ def test_staged_salted_byte_identical_under_hot_key_skew(ray_session):
 
 
 def test_staged_plans_emit_the_fused_schema(pages):
-    """Fused, staged and salted staged output the same parquet schema."""
+    """Fused and staged output the same parquet schema."""
     from pdf_extract_ray.pipelines.extract import EXTRACTED_SCHEMA
 
     schemas = [ds.materialize().schema().base_schema for ds in (
         extract_pages_fused(pages, batch_size=16),
-        extract_pages_staged(pages, batch_size=16),
-        extract_pages_staged(pages, batch_size=16, salt=8))]
-    assert schemas == [EXTRACTED_SCHEMA] * 3
+        extract_pages_staged(pages, batch_size=16))]
+    assert schemas == [EXTRACTED_SCHEMA] * 2
 
 
-def test_compact_blocks_packs_at_most_k_rows_per_url_in_order():
-    """The shared hot-key compaction, called directly: scrambled rows of
-    urls spread over several salts (and more salts than rows) pack into
-    <= K rows per url, each list in (warc_ts, block_ord) order, and
-    rebuilding gives back exactly the input rows."""
-    from collections import Counter
+def _block_rows(spec, *, seed=7):
+    """Scrambled block rows: ``spec`` is (url, records) pairs, each record
+    three blocks with its own warc_ts."""
     from datetime import datetime, timedelta
 
     import numpy as np
 
-    from pdf_extract_ray.pipelines.extract import (
-        _PACKED, add_salt, compact_blocks, rebuild_blocks)
-
     rows = []
-    for u, n_rec in (("https://hot.example/a", 40), ("https://b.example/", 5),
-                     ("https://c.example/", 1)):
+    for u, n_rec in spec:
         for rec in range(n_rec):
             for ord_ in range(3):
                 rows.append({
@@ -239,23 +202,79 @@ def test_compact_blocks_packs_at_most_k_rows_per_url_in_order():
              "text": pa.large_string()}
     tbl = pa.table({c: pa.array([r[c] for r in rows], types.get(c, pa.string()))
                     for c in rows[0]})
-    tbl = tbl.take(np.random.default_rng(7).permutation(tbl.num_rows))
+    return tbl.take(np.random.default_rng(seed).permutation(tbl.num_rows))
+
+
+def test_compact_blocks_packs_one_row_per_url_in_order():
+    """The shared map-side packing, called directly on a scrambled block:
+    exactly one row per url, each list in (warc_ts, block_ord) order, and
+    rebuilding gives back exactly the input rows."""
+    from collections import Counter
+
+    from pdf_extract_ray.pipelines.extract import (
+        _PACKED, compact_blocks, rebuild_blocks)
+
+    tbl = _block_rows([("https://hot.example/a", 40), ("https://b.example/", 5),
+                       ("https://c.example/", 1)])
+    packed = compact_blocks(tbl)
+    assert sorted(packed["url"].to_pylist()) == [
+        "https://b.example/", "https://c.example/", "https://hot.example/a"]
+    for r in packed.to_pylist():
+        order = list(zip(r["warc_ts"], r["block_ord"]))
+        assert order == sorted(order)
 
     def key(r):
         return tuple(r[c] for c in ("url", *_PACKED))
 
-    for k in (4, 8, 64):
-        salted = add_salt(tbl, "warc_ts", k)
-        assert len(set(salted["__salt"].to_pylist())) > 1
-        packed = compact_blocks(salted)
-        per_url = Counter(packed["url"].to_pylist())
-        assert max(per_url.values()) <= k
-        assert per_url["https://hot.example/a"] > 1  # spread over salts
-        for r in packed.to_pylist():
-            order = list(zip(r["warc_ts"], r["block_ord"]))
-            assert order == sorted(order)
-        assert (Counter(map(key, rebuild_blocks(packed).to_pylist()))
-                == Counter(map(key, tbl.to_pylist())))
+    assert (Counter(map(key, rebuild_blocks(packed).to_pylist()))
+            == Counter(map(key, tbl.to_pylist())))
+
+
+def test_compact_blocks_zero_row_block_round_trips():
+    """A zero-row block packs to zero rows with the list schema and
+    rebuilds to zero block rows with the input schema."""
+    from pdf_extract_ray.pipelines.extract import (
+        _PACKED, compact_blocks, rebuild_blocks)
+
+    empty = _block_rows([("https://a.example/", 1)]).slice(0, 0)
+    packed = compact_blocks(empty)
+    assert packed.num_rows == 0
+    for c in _PACKED:
+        assert packed.schema.field(c).type == pa.list_(empty.schema.field(c).type)
+    rebuilt = rebuild_blocks(packed)
+    assert rebuilt.num_rows == 0
+    assert rebuilt.schema == empty.select(["url", *_PACKED]).schema
+
+
+def test_staged_hot_url_reaches_reducer_packed_per_input_block(ray_session):
+    """Integration: through the staged plan's own map side, a url with 30
+    rows spread over 6 input blocks reaches the per-url reducer as at most
+    6 packed rows, which together hold all of its block rows."""
+    import pyarrow.compute as pc
+    import ray.data as rd
+
+    from pdf_extract_ray.pipelines import extract
+
+    n_hot = 30
+    hot = _storm_pages(n_hot)
+    corpus = pa.concat_tables(
+        [pages_table(40, seed=3).select(hot.column_names), hot])
+
+    def reducer_input(bucket):
+        hot_rows = bucket.filter(
+            pc.equal(bucket["url"], "https://hot.example/storm"))
+        return pa.table({"n_packed": [hot_rows.num_rows],
+                         "n_blocks": [pc.sum(pc.list_value_length(
+                             hot_rows["text"])).as_py() or 0]})
+
+    blocks = rd.from_arrow(corpus).repartition(6).map_batches(
+        extract._cached(extract.ParsePagesToBlocks, extract.DEFAULT_CONFIG),
+        batch_format="pyarrow")
+    seen = extract.bucketed_group_apply(
+        blocks.map_batches(extract.compact_blocks, batch_format="pyarrow"),
+        ["url"], reducer_input, body_format="pyarrow").to_pandas().sum()
+    assert 1 <= seen["n_packed"] <= 6
+    assert seen["n_blocks"] == n_hot
 
 
 def test_output_identical_under_task_retry(ray_session, tmp_path):

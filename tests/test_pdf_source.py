@@ -272,8 +272,8 @@ def test_page_order_follows_kids_tree_not_object_numbers():
 
 
 def test_pdf_staged_plan_byte_identical(ray_session):
-    """extract_pdf_pages_staged (per-page explode + per-url shuffle) and
-    the salted variant must match the fused PDF plan byte-for-byte —
+    """extract_pdf_pages_staged (per-page explode, map-side packing,
+    per-url shuffle) must match the fused PDF plan byte-for-byte —
     including rejected documents."""
     import pandas as pd
 
@@ -294,11 +294,7 @@ def test_pdf_staged_plan_byte_identical(ray_session):
     staged = {r["url"]: (r["extracted_text"], r["n_sentences"], r["n_pages"],
                          r["status"])
               for r in extract_pdf_pages_staged(ds()).take_all()}
-    salted = {r["url"]: (r["extracted_text"], r["n_sentences"], r["n_pages"],
-                         r["status"])
-              for r in extract_pdf_pages_staged(ds(), salt=4).take_all()}
     assert staged == fused
-    assert salted == fused
     assert fused["u7"][3] == "rejected"
 
 

@@ -327,3 +327,25 @@ def test_heaps_fit_growth_curve_and_sql_parity(ray_session):
     # last checkpoint covers the whole corpus
     total_tokens = docs["text"].str.split().str.len().sum()
     assert got["n_tokens"].iloc[-1] == total_tokens
+
+
+def test_heaps_fit_zero_row_block(ray_session):
+    """A zero-row block contributes no id-range partial: the fit equals
+    the fit of the same rows without it."""
+    import ray.data as rd
+
+    from pdf_extract_ray.stages.textquality import _id_range, heaps_fit
+
+    empty = _id_range(pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
+                                    "text": []}), "doc_id")
+    assert len(empty) == 0 and list(empty.dtypes) == ["int64", "int64"]
+
+    docs = pd.DataFrame({
+        "doc_id": np.arange(30, dtype="int64"),
+        "text": [f"w{i % 7} w{i % 11} w{i}" for i in range(30)],
+    })
+    with_empty = rd.from_pandas([docs.iloc[:15], docs.iloc[:0],
+                                 docs.iloc[15:]])
+    assert with_empty.num_blocks() == 3
+    pd.testing.assert_frame_equal(heaps_fit(with_empty),
+                                  heaps_fit(rd.from_pandas(docs)))

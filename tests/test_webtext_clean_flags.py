@@ -208,3 +208,50 @@ def test_webtext_run_banned_terms_gate(ray_session, tmp_path):
     stats = webtext_run(f"{src}/*.parquet", out, keep_rejects=True)
     assert stats["completed"] >= 1 and stats["skipped"] == 0
     assert sorted(_read_out(out)["doc_id"].tolist()) == [0, 1, 2, 3]
+
+
+def test_webtext_run_banned_phrases_without_words(ray_session, tmp_path):
+    """``banned_phrases`` alone (the CLI's ``--banned-phrases`` without
+    ``--banned-words``) gates documents instead of crashing."""
+    from pdf_extract_ray.pipelines.webtext import webtext_run
+
+    body = ("the cat sat on the mat and it was a very long day for "
+            "all of the animals in the house by the sea")
+    src = str(tmp_path / "src")
+    os.makedirs(src)
+    pd.DataFrame({
+        "doc_id": [0, 1, 2],
+        "text": [body, "win free money fast today " + body,
+                 body + " casino"],  # no word list: words pass
+    }).to_parquet(f"{src}/a.parquet")
+    out = str(tmp_path / "out")
+    stats = webtext_run(f"{src}/*.parquet", out, keep_rejects=True,
+                        banned_phrases=["free money fast"])
+    assert stats["completed"] == 1 and stats["failed"] == 0
+    assert sorted(_read_out(out)["doc_id"].tolist()) == [0, 2]
+
+
+def test_webtext_run_default_tail_min_is_the_recorded_identity(
+        ray_session, tmp_path):
+    """A run that passes ``DEFAULT_TAIL_MIN`` explicitly is the same run as
+    one that leaves ``lm_tail_min`` unset: it skips every partition."""
+    from pdf_extract_ray.pipelines.webtext import webtext_run
+    from pdf_extract_ray.stages.lm import DEFAULT_TAIL_MIN, train_bigram_lm
+
+    fluent = ("the cat sat on the mat and the dog sat on the rug while "
+              "the sun was high over the quiet town near the long river")
+    src = str(tmp_path / "src")
+    os.makedirs(src)
+    for i in range(2):
+        pd.DataFrame({"doc_id": [2 * i, 2 * i + 1],
+                      "text": [fluent, fluent + " and the sea"]}
+                     ).to_parquet(f"{src}/{i}.parquet")
+    model = train_bigram_lm(rd.from_pandas(pd.DataFrame({"text": [fluent]})))
+    out = str(tmp_path / "out")
+    first = webtext_run(f"{src}/*.parquet", out, lm_model=model,
+                        keep_rejects=True, files_per_partition=1)
+    assert first["completed"] == 2
+    again = webtext_run(f"{src}/*.parquet", out, lm_model=model,
+                        lm_tail_min=DEFAULT_TAIL_MIN, keep_rejects=True,
+                        files_per_partition=1)
+    assert again["skipped"] == 2 and again["completed"] == 0
