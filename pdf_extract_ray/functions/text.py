@@ -100,8 +100,13 @@ def tidy_bracket_spacing(text: str) -> str:
     the space-before-punct rule is frozen from the prompt's worked example
     ``...분석하였다 .`` -> ``...분석하였다.``, sentence_composer.py:389-399)."""
     t = collapse_ws(text)
-    # one pass: drop whitespace after openers and before closers/punctuation
-    return _BRACKET_SPACE_RE.sub("", t)
+    # only single spaces are left, so the regex can only match at one of
+    # these pairs; most sentences hold none
+    if ("( " in t or "[ " in t or " )" in t or " ]" in t or " ." in t
+            or " ," in t or " !" in t or " ?" in t or " ;" in t or " :" in t):
+        # one pass: drop whitespace after openers and before closers/punctuation
+        return _BRACKET_SPACE_RE.sub("", t)
+    return t
 
 
 # equivalent to the three separate subs: "([(\[])\s+"->"\1",

@@ -10,17 +10,25 @@ order; per-line whitespace collapse (layout_analyzer.py:88) is applied
 per block.  Multi-page documents are encoded as
 ``<section data-page="N">`` wrappers (FIXTURES.md F1.7).
 
-Pure Python (no bs4/lxml in the sandbox), and deliberately
-tolerant: byte input goes through charset sniffing
-(``functions/encoding.decode_html_bytes``: BOM -> strict UTF-8 -> meta
-charset -> replace fallback) and malformed markup degrades to text
-accumulation, never an exception — at 100 TB the parser must not die on
-one bad page.
+Pure Python (no bs4/lxml), and deliberately tolerant: byte input goes
+through charset sniffing (``functions/encoding.decode_html_bytes``: BOM ->
+strict UTF-8 -> meta charset -> replace fallback) and malformed markup
+degrades to text accumulation, never an exception — at 100 TB the parser
+must not die on one bad page.
+
+``parse_html`` is one loop over one compiled token regex per config: one
+``match`` per token (text run, start tag, end tag, comment), one tag-table
+lookup per tag, and the open-element state lives in local variables.
+``parse_html_stdlib`` drives ``_BlockCollector`` from the stdlib
+``html.parser`` and is the reference it is tested against.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import lru_cache
+from html import unescape as _unescape
 from html.parser import HTMLParser
 
 from pdf_extract_ray.config import DEFAULT_CONFIG, ExtractConfig
@@ -155,101 +163,73 @@ class _BlockCollector(HTMLParser):
         # (nested <p>/<li> cases)
 
 
-import re as _re
-from html import unescape as _unescape
-
-_START_TAG_RE = _re.compile(
-    r"<([a-zA-Z][a-zA-Z0-9.:_-]*)"
-    r"((?:\s+[^\s/>=]+(?:\s*=\s*(?:\"[^\"]*\"|'[^']*'|[^\s>]*))?)*)"
-    r"\s*(/?)>"
-)
-_END_TAG_RE = _re.compile(r"</\s*([a-zA-Z][a-zA-Z0-9.:_-]*)\s*>")
-_DATA_PAGE_RE = _re.compile(
-    r"""data-page\s*=\s*(?:"([^"]*)"|'([^']*)'|([^\s>]+))""", _re.IGNORECASE
+_NAME = r"[a-zA-Z][a-zA-Z0-9.:_-]*"
+_ATTRS = r"""(?:\s+[^\s/>=]+(?:\s*=\s*(?:"[^"]*"|'[^']*'|[^\s>]*))?)*"""
+_DATA_PAGE_RE = re.compile(
+    r"""data-page\s*=\s*(?:"([^"]*)"|'([^']*)'|([^\s>]+))""", re.IGNORECASE
 )
 _RAWTEXT_TAGS = ("script", "style")
 
+# what a tag does, in the collector's precedence: boilerplate > bold >
+# heading/block > br
+_BOILER, _BOLD, _BLOCK, _BR, _OTHER = range(5)
+# token kinds: the ``lastindex`` of a token match, i.e. the last group that
+# closes in its alternative (comments, declarations and PIs have none)
+_TEXT, _END, _START, _LT = 1, 2, 5, 6
 
-def _tokenize_into(collector: _BlockCollector, html: str) -> None:
-    """Fast HTML tokenizer driving the same collector events as the stdlib
-    parser: start/end/self-closing tags, entity-decoded text, comment /
-    declaration / PI skipping, rawtext handling for <script>/<style>.
-    An unparseable '<' is treated as literal text (stdlib-compatible
-    recovery).  ~3x faster than html.parser on typical pages."""
-    n = len(html)
-    pos = 0
-    lower = None  # lazily lowercased copy for rawtext close-tag search
-    emit_data = collector.handle_data
-    while pos < n:
-        lt = html.find("<", pos)
-        if lt < 0:
-            chunk = html[pos:]
-            emit_data(_unescape(chunk) if "&" in chunk else chunk)
-            break
-        if lt > pos:
-            chunk = html[pos:lt]
-            emit_data(_unescape(chunk) if "&" in chunk else chunk)
-        nxt = html[lt + 1] if lt + 1 < n else ""
-        if nxt == "/":
-            m = _END_TAG_RE.match(html, lt)
-            if m:
-                collector.handle_endtag(m.group(1).lower())
-                pos = m.end()
-                continue
-        elif nxt == "!":
-            if html.startswith("<!--", lt):
-                end = html.find("-->", lt + 4)
-                pos = n if end < 0 else end + 3
-                continue
-            end = html.find(">", lt + 2)
-            pos = n if end < 0 else end + 1
-            continue
-        elif nxt == "?":
-            end = html.find(">", lt + 2)
-            pos = n if end < 0 else end + 1
-            continue
-        elif nxt.isalpha():
-            m = _START_TAG_RE.match(html, lt)
-            if m:
-                name = m.group(1).lower()
-                attrs_src = m.group(2)
-                selfclose = m.group(3) == "/"
-                attrs = []
-                if name == "section" and attrs_src:
-                    am = _DATA_PAGE_RE.search(attrs_src)
-                    if am:
-                        attrs = [("data-page",
-                                  am.group(1) or am.group(2) or am.group(3))]
-                collector.handle_starttag(name, attrs)
-                pos = m.end()
-                if selfclose:
-                    if name in collector.boiler:
-                        collector._boiler_depth -= 1
-                    elif collector._boiler_depth:
-                        pass
-                    elif name in collector.bold_tags:
-                        collector._bold_depth = max(0, collector._bold_depth - 1)
-                    elif name in collector.heading_map or name in collector.block_tags:
-                        collector._end_block()
-                elif name in _RAWTEXT_TAGS:
-                    # rawtext: skip to the matching close tag verbatim
-                    if lower is None:
-                        lower = html.lower()
-                    close = lower.find("</" + name, pos)
-                    if close < 0:
-                        pos = n
-                    else:
-                        gt = html.find(">", close)
-                        pos = n if gt < 0 else gt + 1
-                        collector.handle_endtag(name)
-                continue
-        # unparseable '<': literal text char
-        emit_data("<")
-        pos = lt + 1
+
+@lru_cache(maxsize=16)
+def _grammar(cfg: ExtractConfig):
+    """The token regex and the tag table of one config.
+
+    The regex alternatives, tried in this order at each position:
+
+    1. a text run up to the next ``<``;
+    2. an end tag;
+    3. a start tag (group 5 is ``/`` when it self-closes);
+    4. a comment (to ``-->`` or the end of the page), a declaration or a
+       PI: nothing to do;
+    5. a lone ``<``, which is text.
+
+    The table maps a lowercased tag name to ``(action, block kind, name,
+    rawtext close regex)``; a name it lacks does nothing.
+    """
+    heading = dict(cfg.heading_map)
+    kinds = {}
+    for name in {*heading, *cfg.block_tags, *cfg.boilerplate_tags,
+                 *cfg.bold_inline_tags, "br", "section", *_RAWTEXT_TAGS}:
+        if name != name.lower():
+            continue  # never equal to a lowercased tag name
+        if name in cfg.boilerplate_tags:
+            act = _BOILER
+        elif name in cfg.bold_inline_tags:
+            act = _BOLD
+        elif name in heading or name in cfg.block_tags:
+            act = _BLOCK
+        elif name == "br":
+            act = _BR
+        else:
+            act = _OTHER
+        close = (re.compile("</" + name, re.IGNORECASE | re.ASCII)
+                 if name in _RAWTEXT_TAGS else None)
+        kinds[name] = (act, heading.get(name, "P"), name, close)
+    token = re.compile(
+        r"([^<]+)"
+        rf"|</\s*({_NAME})\s*>"
+        rf"|<({_NAME})({_ATTRS})\s*(/?)>"
+        r"|<!--(?s:.*?)(?:-->|\Z)|<[!?][^>]*>?"
+        r"|(<)"
+    )
+    return token, kinds
 
 
 def parse_html(html: bytes | str | None, cfg: ExtractConfig = DEFAULT_CONFIG) -> list[Block]:
     """Parse one page's HTML into tagged blocks in reading (DOM) order.
+
+    One loop matches one token regex per token (see ``_grammar``) and does
+    one tag-table lookup per tag; the open elements live in local
+    variables.  The blocks are those ``parse_html_stdlib`` (the
+    ``html.parser``-driven reference) returns on well-formed markup.
 
     Returns ``[]`` for null/empty/non-HTML input — callers route those rows
     to the pre-extracted ``text`` fallback (reference "기존 형식" fallback,
@@ -262,14 +242,112 @@ def parse_html(html: bytes | str | None, cfg: ExtractConfig = DEFAULT_CONFIG) ->
         html = decode_html_bytes(html)[0]
     if "<" not in html:
         return []
-    p = _BlockCollector(cfg)
+    token, kinds = _grammar(cfg)
+    match = token.match
+    blocks: list[Block] = []
+    counters: dict[int, int] = {}   # blocks emitted so far per page
+    page = 1
+    boiler = bold = 0               # open boilerplate / bold elements
+    # open block elements: [kind, tag name, text parts, all text bold so far]
+    frames: list[list] = []
+
+    def end_block(page):
+        kind, _, parts, all_bold = frames.pop()
+        text = " ".join("".join(parts).split())
+        if text:
+            # bold-paragraph rule: a P whose text is entirely bold is a
+            # heading (DOM analogue of "bold -> H2", layout_analyzer.py:140-142)
+            c = counters.get(page, 0)
+            counters[page] = c + 1
+            blocks.append(Block(page, c, "H2" if all_bold and kind == "P" else kind,
+                                text, all_bold))
+
+    n = len(html)
+    pos = 0
     try:
-        _tokenize_into(p, html)
-        p.flush_open()
+        while pos < n:
+            m = match(html, pos)
+            pos = m.end()
+            tok = m.lastindex
+            if tok == _TEXT or tok == _LT:
+                if boiler or not frames:
+                    continue
+                data = m.group(tok)
+                if "&" in data:
+                    data = _unescape(data)
+                    if not data:
+                        continue  # only invalid charrefs: no text at all
+                f = frames[-1]
+                f[2].append(data)
+                if f[3] and not bold and not data.isspace():
+                    f[3] = False
+            elif tok == _START:
+                spec = kinds.get(m.group(3).lower())
+                if spec is None:
+                    continue
+                if spec[2] == "section":
+                    attrs = m.group(4)
+                    am = _DATA_PAGE_RE.search(attrs) if attrs else None
+                    if am:
+                        v = am.group(1) or am.group(2) or am.group(3)
+                        if v is not None:
+                            try:
+                                page = int(v)
+                            except ValueError:
+                                pass
+                selfclose = m.group(5) == "/"
+                if not selfclose and spec[3] is not None:
+                    # rawtext: skip to the close tag verbatim; the start and
+                    # end events then cancel out as for a self-closing tag
+                    close = spec[3].search(html, pos)
+                    gt = -1 if close is None else html.find(">", close.start())
+                    pos = n if gt < 0 else gt + 1
+                    selfclose = True
+                act = spec[0]
+                if act == _BOILER:
+                    if not selfclose:
+                        boiler += 1
+                elif boiler:
+                    pass
+                elif act == _BOLD:
+                    if not selfclose:
+                        bold += 1
+                elif act == _BR:
+                    if frames:
+                        frames[-1][2].append(" ")
+                elif act == _BLOCK:
+                    # implied end tags (HTML5): a new same-name element
+                    # closes the open one (<li>...<li>), and any new block
+                    # closes an open <p>
+                    name = spec[2]
+                    while frames and (frames[-1][1] == name or frames[-1][1] == "p"):
+                        end_block(page)
+                    if not selfclose:
+                        frames.append([spec[1], name, [], True])
+            elif tok == _END:
+                spec = kinds.get(m.group(2).lower())
+                if spec is None:
+                    continue
+                act = spec[0]
+                if act == _BOILER:
+                    if boiler:
+                        boiler -= 1
+                elif boiler:
+                    pass
+                elif act == _BOLD:
+                    if bold:
+                        bold -= 1
+                elif act == _BLOCK and frames:
+                    end_block(page)
+            # else: a comment, declaration or PI
+        # implied end at EOF / truncated pages: without this, crawl HTML
+        # relying on implied end tags loses its content entirely
+        while frames:
+            end_block(page)
     except Exception:
         # malformed beyond repair: salvage whatever blocks were collected
         pass
-    return p.blocks
+    return blocks
 
 
 def parse_html_stdlib(html: bytes | str | None, cfg: ExtractConfig = DEFAULT_CONFIG) -> list[Block]:

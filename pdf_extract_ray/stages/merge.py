@@ -66,13 +66,12 @@ def merge_blocks(blocks: list[Block]) -> list[Fragment]:
 
     out: list[Fragment] = []
     section = 0
-    seen_header = False
     for i, (page_no, tag, text) in enumerate(merged):
         if tag in _HEADER_TAGS:
             # each header starts a new section (first header opens section 1
-            # if leading P's occupied section 0, else section increments)
-            if seen_header or any(f.tag == "P" for f in out):
+            # if leading P's occupied section 0, else section increments);
+            # before the first header every fragment is a P
+            if out:
                 section += 1
-            seen_header = True
         out.append(Fragment(i, page_no, section, tag, text))
     return out

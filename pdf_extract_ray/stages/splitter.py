@@ -60,24 +60,6 @@ class Sentence:
     source_type: str       # H1 | H2 | H3 | P
 
 
-def _is_complete(text: str, cfg: ExtractConfig) -> bool:
-    """Ends with terminal punctuation and brackets balanced."""
-    t = text.rstrip()
-    if not t or t[-1] not in cfg.terminal_punct:
-        return False
-    return _bracket_depth(t, cfg) == 0
-
-
-def _bracket_depth(text: str, cfg: ExtractConfig) -> int:
-    depth = 0
-    for ch in text:
-        if ch in cfg.open_brackets:
-            depth += 1
-        elif ch in cfg.close_brackets and depth > 0:
-            depth -= 1
-    return depth
-
-
 def split_complete(text: str, cfg: ExtractConfig = DEFAULT_CONFIG) -> list[str]:
     """Split a text into complete sentences at depth-0 terminal punctuation
     followed by whitespace.  The final piece may be incomplete."""
@@ -108,54 +90,52 @@ def compose_paragraphs(p_texts: list[str], cfg: ExtractConfig = DEFAULT_CONFIG) 
     Semantics (unchanged, frozen): after each fragment append, every
     leading complete sentence (depth-0 terminal punct followed by
     whitespace/end) is emitted tidied; the incomplete tail keeps
-    accumulating; a trailing incomplete buffer flushes as-is.
+    accumulating; a trailing incomplete buffer flushes as-is.  Appending a
+    fragment to a non-empty buffer is ``f"{buf} {frag}".strip()``; to an
+    empty one, the fragment itself.
 
-    Implementation is an INCREMENTAL scan: each appended character is
-    scanned exactly once (bracket depth carried across appends), instead of
-    re-splitting the whole buffer per fragment — the composer was ~45% of
-    extraction CPU before this."""
+    Implementation: one scan of the fragments joined with single spaces.
+    A fragment's end is followed by the joining space there, and by the
+    end of the buffer in the append loop, so both see the same
+    boundaries, and the complete pieces agree once tidied.  Only the raw
+    trailing buffer can differ in whitespace (empty fragments, fragments
+    with whitespace at an edge), so it is rebuilt with the append rule
+    from the rest of the fragment holding the last boundary."""
+    text = " ".join(p_texts)
+    n = len(text)
     out: list[str] = []
-    buf = ""
-    scan = 0        # chars of buf already scanned (no unemitted boundary within)
-    depth = 0       # bracket depth at position `scan`
-    term, op, cl = cfg.terminal_punct, cfg.open_brackets, cfg.close_brackets
-
-    for frag in p_texts:
-        if buf:
-            pre = f"{buf} {frag}"
-            buf = pre.strip()
-            scan -= len(pre) - len(pre.lstrip())  # leading-ws strip shifts positions
-            if scan < 0:
-                scan = 0
-        else:
-            buf = frag
-            scan, depth = 0, 0
-
-        n = len(buf)
-        boundaries: list[int] = []
-        # scan only the "interesting" chars (brackets + terminal punct) via
-        # the C regex engine; plain text is skipped without Python bytecode
-        for m in _interesting_re(cfg).finditer(buf, scan):
-            i = m.start()
-            ch = buf[i]
-            if ch in op:
-                depth += 1
-            elif ch in cl:
-                if depth > 0:
-                    depth -= 1
-            elif depth == 0 and (i + 1 >= n or buf[i + 1].isspace()):
-                boundaries.append(i)
-
-        if boundaries:
-            start = 0
-            for b in boundaries:
-                piece = buf[start : b + 1].strip()
-                if piece:
-                    out.append(tidy_bracket_spacing(piece))
-                start = b + 1
-            buf = buf[start:].strip()
-        scan = len(buf)
-
+    start = 0       # just past the last boundary
+    depth = 0
+    op, cl = cfg.open_brackets, cfg.close_brackets
+    # visit only the "interesting" chars (brackets + terminal punct) via
+    # the C regex engine; plain text is skipped without Python bytecode
+    for m in _interesting_re(cfg).finditer(text):
+        ch = m.group()
+        if ch in op:
+            depth += 1
+        elif ch in cl:
+            if depth:
+                depth -= 1
+        elif not depth:
+            i = m.end()
+            if i == n or text[i].isspace():
+                out.append(tidy_bracket_spacing(text[start:i]))
+                start = i
+    if start == n:
+        return out
+    # the raw trailing buffer: what follows the last boundary in its
+    # fragment, then the later fragments by the append rule
+    k, buf = 0, ""
+    if start:
+        k = len(p_texts) - 1
+        off = n - len(p_texts[k])   # offset of fragment k in text
+        while off >= start:
+            k -= 1
+            off -= len(p_texts[k]) + 1
+        buf = p_texts[k][start - off:].strip()
+        k += 1
+    for frag in p_texts[k:]:
+        buf = f"{buf} {frag}".strip() if buf else frag
     if buf:
         out.append(buf)  # trailing incomplete: emit as-is (raw fallback)
     return out
@@ -165,31 +145,29 @@ def compose_document(frags: list[Fragment], cfg: ExtractConfig = DEFAULT_CONFIG)
     """Run the composer per section over a document's fragments; headers and
     singleton-P sections bypass untouched."""
     out: list[Sentence] = []
-    sent_no = 0
-
-    def emit(page_no: int, frag_id: int, text: str, source_type: str):
-        nonlocal sent_no
-        out.append(Sentence(page_no, frag_id, sent_no, text, source_type))
-        sent_no += 1
-
-    # group fragments by section (fragments arrive in document order)
+    append = out.append
+    # fragments arrive in document order; a section's headers are emitted
+    # first, then its composed P's
     i = 0
     n = len(frags)
     while i < n:
         sec = frags[i].section_id
-        j = i
-        while j < n and frags[j].section_id == sec:
-            j += 1
-        section = frags[i:j]
-        headers = [f for f in section if f.tag != "P"]
-        ps = [f for f in section if f.tag == "P"]
-        for h in headers:
-            emit(h.page_no, h.frag_id, h.text, h.tag)
-        if len(ps) == 1:
-            emit(ps[0].page_no, ps[0].frag_id, ps[0].text, "P")
-        elif ps:
-            first = ps[0]
-            for text in compose_paragraphs([p.text for p in ps], cfg):
-                emit(first.page_no, first.frag_id, text, "P")
-        i = j
+        first = None
+        texts: list[str] = []
+        while i < n:
+            f = frags[i]
+            if f.section_id != sec:
+                break
+            if f.tag != "P":
+                append(Sentence(f.page_no, f.frag_id, len(out), f.text, f.tag))
+            else:
+                if first is None:
+                    first = f
+                texts.append(f.text)
+            i += 1
+        if len(texts) == 1:
+            append(Sentence(first.page_no, first.frag_id, len(out), first.text, "P"))
+        elif texts:
+            for text in compose_paragraphs(texts, cfg):
+                append(Sentence(first.page_no, first.frag_id, len(out), text, "P"))
     return out

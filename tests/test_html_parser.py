@@ -83,6 +83,12 @@ TRICKY_HTML = [
     b"<ul><li>a<li>b</ul>",                      # unclosed li
     b"<p></p><p> </p><p>real</p>",               # empty blocks
     "<p>한국어 &quot;인용&quot; 텍스트</p>".encode(),
+    # "İ".lower() is two characters: a rawtext close tag searched in a
+    # lowercased copy lands past the real one and drops what follows
+    ("<p>" + "İ" * 30 + "</p><script>x</script><p>keep this.</p>").encode(),
+    # an invalid charref unescapes to "": no text, so the paragraph stays
+    # all bold
+    b"<p><b>Title</b>&#127;</p>",
 ]
 
 
@@ -91,3 +97,18 @@ def test_fast_tokenizer_matches_stdlib_on_tricky_html():
 
     for html in TRICKY_HTML:
         assert parse_html(html) == parse_html_stdlib(html), html
+
+
+def test_fast_tokenizer_matches_stdlib_on_corpus_pages_for_every_rule_pack():
+    from pdf_extract_ray.config import RULE_PACKS
+    from pdf_extract_ray.corpus import build_doc
+    from pdf_extract_ray.stages.html_parser import parse_html, parse_html_stdlib
+
+    pages = [build_doc(7, i)["html"] for i in range(200)]
+    for key, cfg in RULE_PACKS.items():
+        n_blocks = 0
+        for html in pages:
+            blocks = parse_html(html, cfg)
+            assert blocks == parse_html_stdlib(html, cfg), (key, html)
+            n_blocks += len(blocks)
+        assert n_blocks > 1000, key

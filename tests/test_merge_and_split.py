@@ -3,6 +3,8 @@
 These encode the frozen splitter spec (sentence_composer.py:354-404 rules
 as SURVEY.md §7.4.5 decisions)."""
 
+import pytest
+
 from pdf_extract_ray.stages.html_parser import Block
 from pdf_extract_ray.stages.merge import merge_blocks
 from pdf_extract_ray.stages.splitter import compose_document, compose_paragraphs, split_complete
@@ -77,6 +79,25 @@ class TestCompose:
     def test_leading_complete_emitted_while_buffering(self):
         out = compose_paragraphs(["Full stop here. Partial", "continues now."])
         assert out == ["Full stop here.", "Partial continues now."]
+
+    # Frozen outputs of the append-and-rescan composer.  The raw trailing
+    # buffer is built by appending each fragment as f"{buf} {frag}".strip()
+    # (the fragment itself when the buffer is empty), so it differs from the
+    # fragments joined with spaces only when a fragment is empty or has
+    # whitespace at an edge.
+    @pytest.mark.parametrize("frags, expected", [
+        (["Done ( a ) here. and then", "", "more  words"],
+         ["Done (a) here.", "and then more  words"]),
+        (["Intro here. tail  part", "   ", "end of it"],
+         ["Intro here.", "tail  part end of it"]),
+        (["  lead  in (x", "y]", "z"],
+         ["lead  in (x y] z"]),
+        (["One. two ", "three ", "four"],
+         ["One.", "two three four"]),
+    ], ids=["empty_fragment", "whitespace_fragment", "leading_space_no_boundary",
+            "trailing_space_fragments"])
+    def test_raw_tail_follows_the_append_rule(self, frags, expected):
+        assert compose_paragraphs(frags) == expected
 
 
 class TestComposeDocument:

@@ -80,6 +80,11 @@ html_bits = st.sampled_from([
     "<p>", "</p>", "<h1>", "</h1>", "<b>", "</b>", "<li>", "</li>",
     "<section data-page='2'>", "</section>", "<header>", "</header>",
     "text ", "한글 ", "a < b", "&amp;", "<!-- c -->", "<br/>", ".", "(", ")",
+    # cases the fast tokenizer's grammar treats specially: attributes, any
+    # case, self-closing, boilerplate, rawtext, a lowercase form longer
+    # than the name, an entity cut short, a charref that unescapes to ""
+    "<p class='x'>", "<P>", "</P>", "<h2>", "</h2>", "<td>", "<strong>",
+    "<p/>", "<nav>", "<script>a<b</script>", "<style>", "İ", "&lt", "&#127;",
 ])
 # NOTE: pathologically malformed start tags (e.g. "<p>a<b</p>") are excluded:
 # the stdlib parser's tolerant regex yields a tag literally named "b<" there,
