@@ -10,7 +10,8 @@ reference: cli.py:113-361, SURVEY.md §3.1-3.2).
     python -m pdf_extract_ray retry-failed --input 'pages/*.parquet' --out out/
 
 `extract` is resumable: re-running skips manifested partitions.
-`retry-failed` clears failed manifest rows and re-runs only those.
+`retry-failed` clears failed manifest rows of an `extract` run and
+re-runs only those; it refuses a directory another pipeline wrote.
 This CLI owns its Ray session (guarded init, shutdown on exit); library
 code never calls ray.init().
 """
@@ -219,12 +220,23 @@ def cmd_status(args) -> int:
 
 def cmd_retry_failed(args) -> int:
     """Drop failed rows from the manifest, then re-run (only those
-    partitions execute — completed ones stay manifested)."""
+    partitions execute — completed ones stay manifested).  Only an
+    ``extract`` run directory can be retried this way: the re-run is an
+    extraction, and under another pipeline's stage versions it would
+    treat every partition as stale and overwrite it."""
     from pdf_extract_ray.state.manifest import Manifest
 
     path = os.path.join(args.out, "_manifest.jsonl")
     m = Manifest(path)
     rows = m.read()
+    foreign = sorted({(r.get("stage_versions") or {})["pipeline"]
+                      for r in rows
+                      if "pipeline" in (r.get("stage_versions") or {})})
+    if foreign:
+        print(f"retry-failed: {args.out} holds {'/'.join(foreign)} output, "
+              "not extract output; re-run that pipeline's command to "
+              "resume it", file=sys.stderr)
+        return 2
     failed_ids = {r["partition_id"] for r in rows if r["status"] == "failed"}
     if failed_ids:
         keep = [r for r in rows if r["partition_id"] not in failed_ids

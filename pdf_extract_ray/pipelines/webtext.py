@@ -17,7 +17,12 @@ bit-stable and the whole pipeline is DuckDB-oracle-checkable):
 Scale shape: signal computation + tiering is one fused ``map_batches``
 (zero shuffles, embarrassingly parallel); the partitioned writer is the
 manifest-driven resume loop every other pipeline here uses
-(``state/manifest.run_partitioned``).  Thresholds are corpus-calibrated
+(``state/manifest.run_partitioned``), declared row-local: consecutive
+pending partitions (up to Ray Data's ``target_max_block_size`` of input)
+run as ONE streaming plan that tags each row with its partition id from
+its source file, reads one input file per task and writes
+``part=<id>/[lang_id_v2=<lang>/]tier=<label>/`` in one pass; each
+partition is then committed on its own.  Thresholds are corpus-calibrated
 constants in ``TIER_RULES`` — a rule-pack analogue of the reference's
 quality classes (euaa_사례/sentences/metadata_generator.py:92-461).
 """
@@ -25,9 +30,12 @@ quality classes (euaa_사례/sentences/metadata_generator.py:92-461).
 from __future__ import annotations
 
 import glob
+import os
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 from ray.data import Dataset
 
 from pdf_extract_ray.stages.lm import lm_model_digest as _lm_digest
@@ -97,6 +105,15 @@ def webtext_tiers(ds: Dataset, text_col: str = "text",
         batch_format="pandas")
 
 
+def _tag_parts(t: pa.Table, part_of: dict[str, int]) -> pa.Table:
+    """Swap the reader's ``path`` column for the ``part`` id of that file."""
+    paths = t.column("path")
+    names = pc.unique(paths)
+    ids = pa.array([part_of[p] for p in names.to_pylist()], pa.int64())
+    return t.drop_columns(["path"]).append_column(
+        "part", pc.take(ids, pc.index_in(paths, value_set=names)))
+
+
 def webtext_run(
     input_glob: str,
     out_dir: str,
@@ -126,6 +143,14 @@ def webtext_run(
     ``out_dir/part=<id>/tier=<label>/*.parquet`` + manifest — a failed
     run skips finished partitions on re-run; ``keep_rejects=False``
     drops the reject tiers at the filter (they never hit disk).
+
+    The partition is the unit of resume, not of execution: consecutive
+    pending partitions run as one streaming plan per batch of at most
+    ``DataContext.target_max_block_size`` input bytes, one read task per
+    input file, and each partition is committed on its own afterwards
+    (``run_partitioned(row_local=True)``).  A batch of several partitions
+    writes one file per input file and tier; ``min_rows_per_file``
+    bundles the write only of a partition that runs alone.
 
     ``extract_first=True`` takes raw Common-Crawl-style pages (url, html,
     ...) instead of pre-extracted documents: the flagship fused
@@ -196,6 +221,7 @@ def webtext_run(
     -> mojibake -> doc-line dedup -> C4 -> banned terms -> perplexity
     gate -> tier, all fused into the one streaming plan.  Every flag
     rides the run identity."""
+    import pyarrow.parquet as pq
     import ray.data as rd
 
     from pdf_extract_ray.pipelines.runner import _rows_written
@@ -207,22 +233,46 @@ def webtext_run(
     if lm_tail_min is None:
         lm_tail_min = DEFAULT_TAIL_MIN
 
-    def _read(files: list[str]):
+    def _read(files: list[str], include_paths: bool):
+        # one read task per input file: a task never holds more than one
+        # file's rows, however many partitions the batch spans
+        kw = {"include_paths": include_paths,
+              "override_num_blocks": len(files)}
         if files[0].endswith((".wet", ".wet.gz")):
             # WET = Common Crawl's pre-extracted text: conversion
             # records already carry the text column, so extraction is
             # skipped and tiering reads `text` directly
             from pdf_extract_ray.sources.warc import read_wet
 
-            return read_wet(files), False
+            return read_wet(files, **kw), False
         if files[0].endswith((".warc", ".warc.gz")):
             from pdf_extract_ray.sources.warc import read_warc
 
-            return read_warc(files), True
-        return rd.read_parquet(files), extract_first
+            return read_warc(files, **kw), True
+        return rd.read_parquet(files, **kw), extract_first
 
-    def pipeline(files: list[str], tmp_out: str) -> int:
-        ds, do_extract = _read(files)
+    def pipeline(batch: list[tuple[int, list[str]]],
+                 staging: str) -> dict[int, int]:
+        files = [f for _, fs in batch for f in fs]
+        # a batch of one partition writes straight into its part dir; a
+        # larger batch tags every row with its partition id (from the
+        # path of the row's source file) and partitions the write by it
+        tagged = len(batch) > 1
+        if (tagged and _kind(files[0]) == "parquet"
+                and "path" in pq.read_schema(files[0]).names):
+            # the reader's path column would clash with the input's own:
+            # run this batch's partitions one at a time
+            return {pid: n for one in batch
+                    for pid, n in pipeline([one], staging).items()}
+        ds, do_extract = _read(files, tagged)
+        if tagged:
+            part_of = {}
+            for pid, fs in batch:
+                for f in fs:
+                    # remote readers report the path without its scheme
+                    part_of[f] = part_of[f.split("://", 1)[-1]] = pid
+            ds = ds.map_batches(lambda t: _tag_parts(t, part_of),
+                                batch_format="pyarrow", batch_size=None)
         if respect_robots and not do_extract:
             raise ValueError(
                 "respect_robots needs raw pages (extract_first=True or "
@@ -243,13 +293,26 @@ def webtext_run(
                 batch_format="pandas")
         col = text_col
         if do_extract:
-            from pdf_extract_ray.pipelines.extract import extract_pages_fused
+            from pdf_extract_ray.pipelines.extract import (
+                DEFAULT_CONFIG,
+                ExtractDocuments,
+                _cached,
+                extract_pages_fused,
+            )
 
             if respect_robots:
                 from pdf_extract_ray.stages.robots import filter_indexable
 
                 ds = filter_indexable(ds)
-            ds = extract_pages_fused(ds)
+            if tagged:
+                # the fused extractor emits one row per page row, in
+                # order, in its own schema: carry the tag across it
+                extract = _cached(ExtractDocuments, DEFAULT_CONFIG)
+                ds = ds.map_batches(
+                    lambda t: extract(t).append_column("part", t["part"]),
+                    batch_format="pyarrow", batch_size=None)
+            else:
+                ds = extract_pages_fused(ds)
             col = "extracted_text"
         if fix_mojibake:
             from pdf_extract_ray.stages.mojibake import repair_series
@@ -302,9 +365,16 @@ def webtext_run(
 
                 tiers = lang_id_v2(tiers, col)
             part_cols = ["lang_id_v2", "tier"]
-        tiers.write_parquet(tmp_out, partition_cols=part_cols,
-                            min_rows_per_file=min_rows_per_file)
-        return _rows_written(tmp_out)
+        if tagged:
+            # no min_rows_per_file: bundling would merge read tasks of
+            # different files (and partitions) into one task
+            tiers.write_parquet(staging, partition_cols=["part", *part_cols])
+        else:
+            tiers.write_parquet(os.path.join(staging, f"part={batch[0][0]}"),
+                                partition_cols=part_cols,
+                                min_rows_per_file=min_rows_per_file)
+        return {pid: _rows_written(os.path.join(staging, f"part={pid}"))
+                for pid, _ in batch}
 
     files = sorted(glob.glob(input_glob))
     if not files:
@@ -328,6 +398,7 @@ def webtext_run(
         out_dir,
         pipeline,
         files_per_partition=files_per_partition,
+        row_local=True,
         stage_versions={"engine": __version__, "pipeline": "webtext",
                         "extract_first": str(extract_first),
                         "keep_rejects": str(keep_rejects),

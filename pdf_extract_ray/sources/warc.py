@@ -309,51 +309,52 @@ def _warc_paths_ds(paths, **read_kwargs):
     return rd.from_items([{"path": str(p)} for p in paths], **read_kwargs)
 
 
-def read_warc(paths, **read_kwargs):
+def _read_archives(name, paths, parse_file, include_paths: bool,
+                   read_kwargs):
+    """Parse-in-task read shared by :func:`read_warc`/:func:`read_wet`:
+    one parse call per file, malformed records logged and skipped, and
+    with ``include_paths`` a ``path`` column naming each row's file (as
+    ``ray.data.read_parquet(include_paths=True)`` does)."""
+    files = _warc_paths_ds(paths, **read_kwargs)
+
+    def parse(batch: pa.Table) -> pa.Table:
+        rows: list[dict] = []
+        sources: list[str] = []
+        for path in batch["path"].to_pylist():
+            r, bad = parse_file(_read_raw(path))
+            if bad:
+                import logging
+
+                logging.getLogger(__name__).warning(
+                    "%s: %d malformed record(s) skipped in %s",
+                    name, bad, path)
+            rows.extend(r)
+            sources += [path] * len(r)
+        t = _rows_to_table(rows)
+        if include_paths:
+            t = t.append_column("path", pa.array(sources, pa.string()))
+        return t
+
+    return files.map_batches(parse, batch_format="pyarrow", batch_size=1)
+
+
+def read_warc(paths, *, include_paths: bool = False, **read_kwargs):
     """``Dataset`` of pages-schema rows from WARC/WARC.GZ files.  One
     parse task per file (the crawl's natural parallelism unit); archive
     bytes are read INSIDE the parse task (see :func:`_read_raw`).
     Malformed records are skipped with a per-file warning log (the same
     logged-drop loudness the dedup bucket caps use); run
     :func:`parse_warc_stats` over the same paths for a full audit."""
-    files = _warc_paths_ds(paths, **read_kwargs)
-
-    def parse(batch: pa.Table) -> pa.Table:
-        rows: list[dict] = []
-        for path in batch["path"].to_pylist():
-            r, bad = parse_warc_file(_read_raw(path))
-            if bad:
-                import logging
-
-                logging.getLogger(__name__).warning(
-                    "read_warc: %d malformed record(s) skipped in %s",
-                    bad, path)
-            rows.extend(r)
-        return _rows_to_table(rows)
-
-    return files.map_batches(parse, batch_format="pyarrow", batch_size=1)
+    return _read_archives("read_warc", paths, parse_warc_file, include_paths,
+                          read_kwargs)
 
 
-def read_wet(paths, **read_kwargs):
+def read_wet(paths, *, include_paths: bool = False, **read_kwargs):
     """``Dataset`` of pages-schema rows (``text`` filled, ``html`` None)
     from WET/WET.GZ archives — same per-file parallelism, salvaging
     decompressor and loudness policy as :func:`read_warc`."""
-    files = _warc_paths_ds(paths, **read_kwargs)
-
-    def parse(batch: pa.Table) -> pa.Table:
-        rows: list[dict] = []
-        for path in batch["path"].to_pylist():
-            r, bad = parse_wet_file(_read_raw(path))
-            if bad:
-                import logging
-
-                logging.getLogger(__name__).warning(
-                    "read_wet: %d malformed record(s) skipped in %s",
-                    bad, path)
-            rows.extend(r)
-        return _rows_to_table(rows)
-
-    return files.map_batches(parse, batch_format="pyarrow", batch_size=1)
+    return _read_archives("read_wet", paths, parse_wet_file, include_paths,
+                          read_kwargs)
 
 
 def parse_warc_stats(paths, **read_kwargs):

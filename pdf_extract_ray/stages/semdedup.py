@@ -51,6 +51,7 @@ import logging
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 from ray.data import Dataset
 
 from pdf_extract_ray.util import round_half_away
@@ -140,17 +141,22 @@ def semantic_dedup(
     cents_norm = np.linalg.norm(cents, axis=1)
     cents_norm[cents_norm == 0] = 1.0
 
-    def assign(batch: pd.DataFrame) -> pd.DataFrame:
+    def assign(batch: pd.DataFrame) -> pa.Table:
         c = ray.get(cents_ref)
-        v = np.stack(batch[vec_col].to_numpy()).astype(np.float64)
+        vecs = batch[vec_col].to_numpy()
+        v = np.stack(vecs).astype(np.float64)
         dots = v @ c.T
         cell = (cents_sq[None, :] - 2.0 * dots).argmin(axis=1)
         vn = np.linalg.norm(v, axis=1)
         vn[vn == 0] = 1.0
         cos = dots[np.arange(len(v)), cell] / (vn * cents_norm[cell])
-        return pd.DataFrame({
+        # Arrow, not pandas: a pandas frame's schema metadata names the
+        # vectors' dtype as Ray's tensor dtype, which the shuffle's
+        # to_pandas() can parse only in a worker that happened to import
+        # Ray's pandas tensor module
+        return pa.table({
             id_col: batch[id_col].to_numpy(),
-            vec_col: batch[vec_col].to_numpy(),
+            vec_col: pa.array(list(vecs)),
             "cluster": cell.astype(np.int64),
             "centroid_cos": round_half_away(cos, COS_DECIMALS),
         })

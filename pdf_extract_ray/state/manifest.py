@@ -8,14 +8,23 @@ unit of durable progress, Ray task retries handle everything below it.
 
 Design (SURVEY.md §4.2):
 * a run processes a list of partitions (one partition = one group of input
-  files); each partition streams through the full pipeline and writes to
-  ``out_dir/part=<id>/`` ATOMICALLY (tmp dir -> rename), then a manifest
-  row is appended (JSONL, append-only, fsync'd);
+  files); pending partitions stream through the pipeline in BATCHES — one
+  partition per batch by default; consecutive partitions up to Ray Data's
+  ``target_max_block_size`` of input bytes when the pipeline is row-local
+  (each output row comes from one input file's rows), so a batch is one
+  Ray Data execution, not one per partition;
+* a batch writes under a staging dir, one ``part=<id>/`` subdir per
+  partition; each partition is then committed ATOMICALLY in plan order
+  (rename to ``out_dir/part=<id>/``, then a manifest row is appended —
+  JSONL, append-only, fsync'd), so a crash mid-batch loses at most the
+  batch's uncommitted partitions;
 * resume = anti-join: partitions whose manifest row says ``completed`` are
-  skipped; a partially-written tmp dir from a crash is discarded;
-* lineage per row: input files, row count, config/stage versions, wall
-  time, rows/s — the analogue of ``extraction_stats`` /
-  ``batch_summary_stats`` (database.py:96-125);
+  skipped; a partially-written staging dir from a crash is discarded and
+  never read;
+* lineage per row: input files, row count, config/stage versions, the
+  batch it ran in, wall time (its even share of the batch wall), rows/s —
+  the analogue of ``extraction_stats`` / ``batch_summary_stats``
+  (database.py:96-125);
 * idempotent by construction: re-running a completed partition is a no-op
   (fixes the reference's double-insert wart, SURVEY.md §4.1).
 """
@@ -41,6 +50,7 @@ class PartitionResult:
     stage_versions: dict
     error: str | None = None
     finished_at: str = ""
+    batch: int | None = None  # first partition id of the batch it ran in
 
 
 class Manifest:
@@ -103,24 +113,61 @@ def plan_partitions(input_files: Sequence[str], files_per_partition: int = 4) ->
     ]
 
 
+def _input_bytes(files: Sequence[str]) -> float:
+    """Size of a partition's input; unknown sizes (remote URIs) count as
+    unbounded, so such a partition runs in a batch of its own."""
+    try:
+        return sum(os.path.getsize(f) for f in files)
+    except OSError:
+        return float("inf")
+
+
+def _batches(pending: list[int], plan: list[list[str]]) -> list[list[int]]:
+    """Consecutive pending partitions grouped while their input bytes fit
+    in Ray Data's ``target_max_block_size``; a partition larger than that
+    runs alone."""
+    from ray.data import DataContext
+
+    budget = DataContext.get_current().target_max_block_size or float("inf")
+    batches: list[list[int]] = []
+    size = 0.0
+    for pid in pending:
+        n = _input_bytes(plan[pid])
+        if not batches or size + n > budget:
+            batches.append([])
+            size = 0.0
+        batches[-1].append(pid)
+        size += n
+    return batches
+
+
 def run_partitioned(
     input_files: Sequence[str],
     out_dir: str,
-    pipeline: Callable[[list[str], str], int],
+    pipeline: Callable,
     *,
     manifest_path: str | None = None,
     files_per_partition: int = 4,
     stage_versions: dict | None = None,
     max_failures: int = 0,
+    row_local: bool = False,
 ) -> dict:
     """Drive a resumable partitioned run.
 
     ``pipeline(files, tmp_out_dir) -> n_rows`` runs the (internally
     parallel, streaming) pipeline for one partition and writes its output
     under ``tmp_out_dir``; this driver handles atomicity, the manifest and
-    skipping completed partitions.  Partitions run sequentially — each one
-    saturates the cluster internally; progress durability is the point of
-    the partition boundary, not extra parallelism.
+    skipping completed partitions.
+
+    ``row_local=True`` declares that every output row of the pipeline
+    comes from the rows of one input file.  Pending partitions then run
+    in batches (see :func:`_batches`), and the pipeline takes a whole
+    batch: ``pipeline([(partition_id, files), ...], staging_dir) ->
+    {partition_id: n_rows}``, writing each partition's rows under
+    ``staging_dir/part=<id>/``.  Batches run one after another — each
+    one saturates the cluster internally.  If a batch raises, its
+    partitions re-run one at a time as batches of one, so the earlier
+    ones commit and the failing one is marked ``failed``.
     """
     manifest = Manifest(manifest_path or os.path.join(out_dir, "_manifest.jsonl"))
     versions = stage_versions or {}
@@ -138,41 +185,65 @@ def run_partitioned(
             # part dir before failing — the earlier completion is void
             done.pop(r.get("partition_id"), None)
     os.makedirs(out_dir, exist_ok=True)
+    pending = [pid for pid in range(len(plan)) if done.get(pid) != versions]
 
-    stats = {"completed": 0, "skipped": 0, "failed": 0}
-    for pid, files in enumerate(plan):
-        final_dir = os.path.join(out_dir, f"part={pid}")
-        if done.get(pid) == versions:
-            stats["skipped"] += 1
-            continue
-        tmp_dir = os.path.join(out_dir, f".tmp_part={pid}")
-        shutil.rmtree(tmp_dir, ignore_errors=True)   # discard crashed partials
-        shutil.rmtree(final_dir, ignore_errors=True)  # non-manifested output is invalid
+    if row_local:
+        run, batches = pipeline, _batches(pending, plan)
+    else:
+        def run(batch, staging):
+            (pid, files), = batch
+            return {pid: pipeline(files, os.path.join(staging, f"part={pid}"))}
+        batches = [[pid] for pid in pending]
+
+    staging = os.path.join(out_dir, ".tmp_batch")
+    stats = {"completed": 0, "skipped": len(plan) - len(pending), "failed": 0}
+
+    def attempt(batch: list[int]) -> None:
+        shutil.rmtree(staging, ignore_errors=True)  # discard crashed partials
+        for pid in batch:
+            shutil.rmtree(os.path.join(out_dir, f".tmp_part={pid}"),
+                          ignore_errors=True)
+            # non-manifested output is invalid
+            shutil.rmtree(os.path.join(out_dir, f"part={pid}"),
+                          ignore_errors=True)
         t0 = time.time()
         try:
-            n_rows = pipeline(files, tmp_dir)
-            # a zero-row partition is legitimate (e.g. every page in it
-            # was robots-filtered) — Ray's empty write_parquet creates
-            # no directory, but the atomic rename + manifest row must
-            # still happen so resume skips it
-            os.makedirs(tmp_dir, exist_ok=True)
-            os.replace(tmp_dir, final_dir)
-            wall = time.time() - t0
-            manifest.append(PartitionResult(
-                partition_id=pid, status="completed", input_files=files,
-                n_rows=n_rows, wall_s=round(wall, 3),
-                rows_per_s=round(n_rows / wall, 1) if wall > 0 else 0.0,
-                stage_versions=versions,
-            ))
-            stats["completed"] += 1
+            n_rows = run([(pid, plan[pid]) for pid in batch], staging)
         except Exception as e:  # partition-level failure isolation
-            shutil.rmtree(tmp_dir, ignore_errors=True)
+            shutil.rmtree(staging, ignore_errors=True)
+            if len(batch) > 1:
+                for pid in batch:
+                    attempt([pid])
+                return
             manifest.append(PartitionResult(
-                partition_id=pid, status="failed", input_files=files,
-                n_rows=0, wall_s=round(time.time() - t0, 3), rows_per_s=0.0,
+                partition_id=batch[0], status="failed",
+                input_files=plan[batch[0]], n_rows=0,
+                wall_s=round(time.time() - t0, 3), rows_per_s=0.0,
                 stage_versions=versions, error=f"{type(e).__name__}: {e}",
+                batch=batch[0],
             ))
             stats["failed"] += 1
             if stats["failed"] > max_failures:
                 raise
+            return
+        wall = (time.time() - t0) / len(batch)
+        for pid in batch:
+            # a zero-row partition is legitimate (e.g. every page in it
+            # was robots-filtered) — Ray's empty write_parquet creates
+            # no directory, but the atomic rename + manifest row must
+            # still happen so resume skips it
+            part_dir = os.path.join(staging, f"part={pid}")
+            os.makedirs(part_dir, exist_ok=True)
+            os.replace(part_dir, os.path.join(out_dir, f"part={pid}"))
+            manifest.append(PartitionResult(
+                partition_id=pid, status="completed", input_files=plan[pid],
+                n_rows=n_rows[pid], wall_s=round(wall, 3),
+                rows_per_s=round(n_rows[pid] / wall, 1) if wall > 0 else 0.0,
+                stage_versions=versions, batch=batch[0],
+            ))
+            stats["completed"] += 1
+        shutil.rmtree(staging, ignore_errors=True)
+
+    for batch in batches:
+        attempt(batch)
     return stats

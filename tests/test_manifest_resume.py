@@ -280,3 +280,221 @@ def test_zero_row_partition_completes(ray_session, tmp_path):
                        respect_robots=True, files_per_partition=1,
                        min_rows_per_file=1)
     assert stats2["skipped"] == 1 and stats2["global"] == "skipped"
+
+
+# --- row-local batches (run_partitioned(row_local=True)) -------------------
+
+def _sized_files(tmp_path, sizes):
+    files = []
+    for i, n in enumerate(sizes):
+        p = tmp_path / f"in{i}.bin"
+        p.write_bytes(b"x" * n)
+        files.append(str(p))
+    return files
+
+
+def _batch_pipeline(log, fail_on=frozenset()):
+    """A row-local pipeline: one part=<pid> dir per partition of the batch."""
+    def pipeline(batch, staging):
+        log.append([pid for pid, _ in batch])
+        if fail_on & {pid for pid, _ in batch}:
+            raise RuntimeError("injected failure")
+        for pid, files in batch:
+            os.makedirs(os.path.join(staging, f"part={pid}"))
+            with open(os.path.join(staging, f"part={pid}", "out.txt"),
+                      "w") as f:
+                f.write("\n".join(files))
+        return {pid: len(files) for pid, _ in batch}
+    return pipeline
+
+
+def test_row_local_batches_fit_the_block_size(tmp_path, monkeypatch):
+    """Consecutive pending partitions share a batch while their input
+    bytes fit in target_max_block_size; a larger one runs alone."""
+    from ray.data import DataContext
+
+    monkeypatch.setattr(DataContext.get_current(), "target_max_block_size",
+                        100)
+    files = _sized_files(tmp_path, [40, 40, 40, 150, 10, 10])
+    out = str(tmp_path / "out")
+    log = []
+    stats = run_partitioned(files, out, _batch_pipeline(log),
+                            files_per_partition=1, row_local=True)
+    assert log == [[0, 1], [2], [3], [4, 5]]
+    assert stats == {"completed": 6, "skipped": 0, "failed": 0}
+    rows = Manifest(os.path.join(out, "_manifest.jsonl")).read()
+    assert [r["partition_id"] for r in rows] == [0, 1, 2, 3, 4, 5]
+    assert [r["batch"] for r in rows] == [0, 0, 2, 3, 4, 4]
+    # each partition of a batch carries an even share of its wall
+    assert rows[0]["wall_s"] == rows[1]["wall_s"]
+    for pid in range(6):
+        assert os.path.exists(os.path.join(out, f"part={pid}", "out.txt"))
+    assert not os.path.exists(os.path.join(out, ".tmp_batch"))
+
+
+def test_row_local_failure_reruns_batch_one_by_one(tmp_path):
+    """A failing batch re-runs its partitions alone: the earlier ones
+    commit, the failing one is marked failed, the run raises; resume
+    then runs only what is left.  A stale .tmp_part dir of a pending
+    partition is removed before its batch runs."""
+    files = _sized_files(tmp_path, [10] * 5)
+    out = str(tmp_path / "out")
+    os.makedirs(os.path.join(out, ".tmp_part=3"))
+    log = []
+    with pytest.raises(RuntimeError):
+        run_partitioned(files, out, _batch_pipeline(log, {2}),
+                        files_per_partition=1, row_local=True)
+    assert log == [[0, 1, 2, 3, 4], [0], [1], [2]]
+    rows = Manifest(os.path.join(out, "_manifest.jsonl")).read()
+    assert [(r["partition_id"], r["status"]) for r in rows] == [
+        (0, "completed"), (1, "completed"), (2, "failed")]
+    assert sorted(os.listdir(out)) == ["_manifest.jsonl", "part=0", "part=1"]
+
+    log2 = []
+    stats = run_partitioned(files, out, _batch_pipeline(log2),
+                            files_per_partition=1, row_local=True)
+    assert log2 == [[2, 3, 4]]
+    assert stats == {"completed": 3, "skipped": 2, "failed": 0}
+    assert sorted(os.listdir(out)) == [
+        "_manifest.jsonl", "part=0", "part=1", "part=2", "part=3", "part=4"]
+
+
+def _tier_frames(out: str) -> dict:
+    """{"part=<id>/tier=<label>": rows sorted by url} of a webtext run."""
+    import glob as g
+
+    import pandas as pd
+
+    frames = {}
+    for d in sorted(g.glob(os.path.join(out, "part=*", "tier=*"))):
+        key = os.path.relpath(d, out)
+        frames[key] = pd.concat(
+            [pd.read_parquet(p) for p in g.glob(os.path.join(d, "*.parquet"))]
+        ).sort_values("url").reset_index(drop=True)
+    return frames
+
+
+def _assert_same_tiers(a: str, b: str) -> None:
+    import pandas as pd
+
+    fa, fb = _tier_frames(a), _tier_frames(b)
+    assert sorted(fa) == sorted(fb)
+    for k in fa:
+        pd.testing.assert_frame_equal(fa[k], fb[k])
+
+
+def test_webtext_crash_after_commit_resumes_to_uninterrupted(ray_session,
+                                                             tmp_path,
+                                                             text_docs):
+    """A crash right after the 2nd of 4 batched partitions commits: the
+    resume redoes only the other two and the output equals a one-shot
+    run, partition by partition and tier by tier."""
+    import pdf_extract_ray.state.manifest as mm
+    from pdf_extract_ray.pipelines.webtext import webtext_run
+
+    glob_ = str(text_docs(4) / "*.parquet")
+    ref = str(tmp_path / "ref")
+    webtext_run(glob_, ref, keep_rejects=True, files_per_partition=1)
+
+    out = str(tmp_path / "out")
+    calls = {"n": 0}
+    orig = mm.Manifest.append
+
+    def exploding_append(self, result):
+        orig(self, result)
+        calls["n"] += 1
+        if calls["n"] == 2:
+            raise KeyboardInterrupt
+
+    mm.Manifest.append = exploding_append
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            webtext_run(glob_, out, keep_rejects=True, files_per_partition=1)
+    finally:
+        mm.Manifest.append = orig
+    assert os.path.isdir(os.path.join(out, ".tmp_batch"))
+
+    stats = webtext_run(glob_, out, keep_rejects=True, files_per_partition=1)
+    assert stats == {"completed": 2, "skipped": 2, "failed": 0}
+    assert not os.path.exists(os.path.join(out, ".tmp_batch"))
+    _assert_same_tiers(ref, out)
+    rows = mm.Manifest(os.path.join(out, "_manifest.jsonl")).read()
+    assert [(r["partition_id"], r["batch"]) for r in rows] == [
+        (0, 0), (1, 0), (2, 2), (3, 2)]
+
+
+def test_webtext_failing_partition_in_batch(ray_session, tmp_path,
+                                            text_docs):
+    """An unreadable input file fails its batch; the batch re-runs one
+    partition at a time: the partitions before it are committed, it is
+    marked failed, the ones after it stay pending."""
+    import glob as g
+
+    from pdf_extract_ray.pipelines.webtext import webtext_run
+    from pdf_extract_ray.state.manifest import Manifest
+
+    glob_ = str(text_docs(4) / "*.parquet")
+    with open(sorted(g.glob(glob_))[2], "wb") as f:
+        f.write(b"PAR1 not a parquet file")
+    out = str(tmp_path / "out")
+    with pytest.raises(Exception):
+        webtext_run(glob_, out, files_per_partition=1)
+    rows = Manifest(os.path.join(out, "_manifest.jsonl")).read()
+    assert [(r["partition_id"], r["status"]) for r in rows] == [
+        (0, "completed"), (1, "completed"), (2, "failed")]
+    assert rows[0]["n_rows"] > 0 and rows[1]["n_rows"] > 0
+    assert g.glob(os.path.join(out, "part=1", "tier=*", "*.parquet"))
+    assert not os.path.exists(os.path.join(out, "part=2"))
+    assert not os.path.exists(os.path.join(out, "part=3"))
+
+
+def test_webtext_zero_row_partition_in_batch(ray_session, tmp_path,
+                                             text_docs):
+    """A partition whose every document is rejected writes no rows inside
+    a batch: it still gets its part dir and a completed manifest row."""
+    import pandas as pd
+
+    from pdf_extract_ray.pipelines.webtext import webtext_run
+    from pdf_extract_ray.state.manifest import Manifest
+
+    src = text_docs(3)
+    glob_ = str(src / "*.parquet")
+    # all-short documents: every row lands in reject_short, not written
+    d1 = src / "d1.parquet"
+    pd.read_parquet(d1).assign(text="too short").to_parquet(d1)
+    out = str(tmp_path / "out")
+    stats = webtext_run(glob_, out, files_per_partition=1)
+    assert stats == {"completed": 3, "skipped": 0, "failed": 0}
+    rows = Manifest(os.path.join(out, "_manifest.jsonl")).read()
+    assert [r["n_rows"] > 0 for r in rows] == [True, False, True]
+    assert {r["batch"] for r in rows} == {0}
+    assert os.path.isdir(os.path.join(out, "part=1"))
+    assert os.listdir(os.path.join(out, "part=1")) == []
+    stats2 = webtext_run(glob_, out, files_per_partition=1)
+    assert stats2 == {"completed": 0, "skipped": 3, "failed": 0}
+
+
+def test_retry_failed_refuses_other_pipelines_output(ray_session, tmp_path,
+                                                     text_docs):
+    """retry-failed re-runs extraction; on a webtext run directory it
+    would overwrite every partition.  It must exit nonzero and leave the
+    manifest and the tier output byte-unchanged."""
+    import glob as g
+
+    from pdf_extract_ray.__main__ import main
+    from pdf_extract_ray.pipelines.webtext import webtext_run
+
+    glob_ = str(text_docs(2) / "*.parquet")
+    out = str(tmp_path / "out")
+    webtext_run(glob_, out, files_per_partition=1)
+
+    def snapshot():
+        return {p: open(p, "rb").read() for p in sorted(
+            g.glob(os.path.join(out, "part=*", "tier=*", "*.parquet"))
+            + [os.path.join(out, "_manifest.jsonl")])}
+
+    before = snapshot()
+    assert len(before) > 1
+    rc = main(["retry-failed", "--input", glob_, "--out", out])
+    assert rc != 0
+    assert snapshot() == before

@@ -97,6 +97,46 @@ def test_max_cluster_overflow_kept(ray_session):
     assert (out[out["kept"]]["dup_of"] == -1).all()
 
 
+def test_shuffle_input_converts_in_a_fresh_process(ray_session, monkeypatch,
+                                                   tmp_path):
+    """The bucketed shuffle's pandas body calls ``to_pandas()`` on the
+    bucket-tagged Arrow table in whichever worker runs it.  That table
+    must convert in a process that never imported Ray's pandas tensor
+    module (pandas schema metadata naming Ray's tensor dtype does not)."""
+    import pickle
+    import subprocess
+    import sys
+
+    import pyarrow as pa
+    import ray
+
+    from pdf_extract_ray.stages import agg
+
+    captured = {}
+
+    def capture(ds, keys, fn, **kw):
+        captured["ds"] = ds
+        return ds
+
+    monkeypatch.setattr(agg, "bucketed_group_apply", capture)
+    df, _ = _planted(n_base=12, srcs=(0,))
+    semantic_dedup(rd.from_pandas(df), threshold=0.95, n_cells=2)
+    for i, ref in enumerate(captured["ds"].to_arrow_refs()):
+        t = ray.get(ref)
+        # what bucketed_group_apply's add_bucket does to each block
+        t = t.append_column("__bucket", pa.array([0] * t.num_rows, pa.int64()))
+        path = tmp_path / f"tagged{i}.pkl"
+        path.write_bytes(pickle.dumps(t))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import pickle, sys; "
+             "df = pickle.load(open(sys.argv[1], 'rb')).to_pandas(); "
+             "print(len(df))", str(path)],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert int(proc.stdout) == t.num_rows
+
+
 def test_sweep_cluster_unit():
     # hand-built cluster: ids 1/2 identical, id 3 orthogonal; id 2 is
     # farther from the centroid -> swept first -> kept

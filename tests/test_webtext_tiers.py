@@ -157,3 +157,129 @@ def test_webtext_run_split_by_lang(ray_session, tmp_path):
                        keep_rejects=True, split_by_lang=False,
                        files_per_partition=1, min_rows_per_file=1)
     assert res3["completed"] == 1 and res3["skipped"] == 0
+
+
+def test_resume_runs_pending_partitions_as_one_write(ray_session, tmp_path,
+                                                     monkeypatch, text_docs):
+    """Resumed past 1 of 5 partitions, the 4 pending ones run as one
+    batch: one Dataset.write_parquet call, one manifest row each, and
+    every partition's tiers equal to a run of that partition alone."""
+    src = text_docs(5)
+    out = str(tmp_path / "out")
+    webtext_run(str(src / "d0.parquet"), out, keep_rejects=True,
+                files_per_partition=1)
+
+    writes = []
+    orig = rd.Dataset.write_parquet
+
+    def counting(self, *a, **kw):
+        writes.append(kw.get("partition_cols"))
+        return orig(self, *a, **kw)
+
+    monkeypatch.setattr(rd.Dataset, "write_parquet", counting)
+    stats = webtext_run(f"{src}/*.parquet", out, keep_rejects=True,
+                        files_per_partition=1)
+    monkeypatch.setattr(rd.Dataset, "write_parquet", orig)
+    assert stats == {"completed": 4, "skipped": 1, "failed": 0}
+    assert writes == [["part", "tier"]]
+
+    for i in range(1, 5):
+        alone = str(tmp_path / f"alone{i}")
+        webtext_run(str(src / f"d{i}.parquet"), alone, keep_rejects=True,
+                    files_per_partition=1)
+        got = {os.path.relpath(d, f"{out}/part={i}")
+               for d in glob.glob(f"{out}/part={i}/tier=*")}
+        want = {os.path.relpath(d, f"{alone}/part=0")
+                for d in glob.glob(f"{alone}/part=0/tier=*")}
+        assert got == want and got
+        for d in got:
+            a = pq.read_table(f"{out}/part={i}/{d}")
+            b = pq.read_table(f"{alone}/part=0/{d}")
+            assert a.schema.remove_metadata() == b.schema.remove_metadata()
+            pd.testing.assert_frame_equal(
+                a.to_pandas().sort_values("url").reset_index(drop=True),
+                b.to_pandas().sort_values("url").reset_index(drop=True))
+
+
+def test_warc_batch_split_by_lang(ray_session, tmp_path):
+    """WARC shards batched into one plan: each partition's rows land in
+    its own part=<id>/lang_id_v2=<lang>/tier=<label>/ dirs, equal to a
+    run of that shard alone."""
+    from pdf_extract_ray.corpus import pages_table
+    from pdf_extract_ray.sources.warc import build_warc
+
+    rows = pages_table(45, seed=5, n_hosts=4).to_pylist()
+    for r in rows:
+        r["warc_ts"] = r["warc_ts"].replace(microsecond=0)
+    for i in range(3):
+        (tmp_path / f"crawl-{i}.warc.gz").write_bytes(
+            build_warc(rows[i * 15:(i + 1) * 15], compress=True))
+    out = str(tmp_path / "tiers")
+    res = webtext_run(str(tmp_path / "*.warc.gz"), out, keep_rejects=True,
+                      split_by_lang=True, files_per_partition=1)
+    assert res == {"completed": 3, "skipped": 0, "failed": 0}
+    assert sum(pq.read_table(f"{out}/part={i}").num_rows
+               for i in range(3)) == len(rows)
+    for i in range(3):
+        alone = str(tmp_path / f"alone{i}")
+        webtext_run(str(tmp_path / f"crawl-{i}.warc.gz"), alone,
+                    keep_rejects=True, split_by_lang=True,
+                    files_per_partition=1)
+        leaf = os.path.join("lang_id_v2=*", "tier=*")
+        got = {os.path.relpath(d, f"{out}/part={i}")
+               for d in glob.glob(os.path.join(out, f"part={i}", leaf))}
+        want = {os.path.relpath(d, f"{alone}/part=0")
+                for d in glob.glob(os.path.join(alone, "part=0", leaf))}
+        assert got == want and got
+        for d in got:
+            a = pq.read_table(f"{out}/part={i}/{d}").to_pandas()
+            b = pq.read_table(f"{alone}/part=0/{d}").to_pandas()
+            assert list(a.columns) == list(b.columns)
+            assert "path" not in a.columns and "part" not in a.columns
+            pd.testing.assert_frame_equal(
+                a.sort_values("url").reset_index(drop=True),
+                b.sort_values("url").reset_index(drop=True))
+
+
+def test_webtext_run_under_positional_wrapper(ray_session, tmp_path,
+                                              monkeypatch, text_docs):
+    """A caller may wrap run_partitioned's pipeline in a positional
+    ``(files, tmp)`` shim that forwards ``**kw`` (perfbench's traced run
+    does): the batched run still completes."""
+    import pdf_extract_ray.state.manifest as manifest
+
+    src = text_docs(3)
+    original = manifest.run_partitioned
+    calls = []
+
+    def traced(files, out_dir, pipeline, **kw):
+        def timed(fs, tmp):
+            calls.append(len(fs))
+            return pipeline(fs, tmp)
+
+        return original(files, out_dir, timed, **kw)
+
+    monkeypatch.setattr(manifest, "run_partitioned", traced)
+    stats = webtext_run(f"{src}/*.parquet", str(tmp_path / "out"),
+                        files_per_partition=1)
+    assert stats == {"completed": 3, "skipped": 0, "failed": 0}
+    assert calls == [3]
+
+
+def test_batch_over_inputs_with_a_path_column(ray_session, tmp_path,
+                                              text_docs):
+    """Input files that carry their own ``path`` column cannot be tagged
+    by the reader's path column; their partitions run one at a time and
+    the column is written through unchanged."""
+    src = text_docs(2)
+    for f in src.glob("*.parquet"):
+        d = pd.read_parquet(f)
+        d.assign(path=d["url"].str.replace("https://", "/")).to_parquet(f)
+    out = str(tmp_path / "out")
+    stats = webtext_run(f"{src}/*.parquet", out, keep_rejects=True,
+                        files_per_partition=1)
+    assert stats == {"completed": 2, "skipped": 0, "failed": 0}
+    for i in range(2):
+        got = pq.read_table(f"{out}/part={i}").to_pandas()
+        assert len(got) > 0
+        assert (got["path"] == got["url"].str.replace("https://", "/")).all()
