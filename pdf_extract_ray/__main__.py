@@ -12,54 +12,56 @@ reference: cli.py:113-361, SURVEY.md §3.1-3.2).
 `extract` is resumable: re-running skips manifested partitions.
 `retry-failed` clears failed manifest rows of an `extract` run and
 re-runs only those; it refuses a directory another pipeline wrote.
-This CLI owns its Ray session (guarded init, shutdown on exit); library
-code never calls ray.init().
+A command starts a Ray session when none is running and shuts down only
+a session it started; library code never calls ray.init().
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 
 
+@contextlib.contextmanager
 def _ray_session(num_cpus: int | None):
     import ray
+    import ray.data as rd
 
-    if not ray.is_initialized():
+    started = not ray.is_initialized()
+    if started:
         kwargs = {"address": "local", "include_dashboard": False,
                   "logging_level": "ERROR"}
         if num_cpus:
             kwargs["num_cpus"] = num_cpus
         ray.init(**kwargs)
-    import ray.data as rd
-
     rd.DataContext.get_current().enable_progress_bars = False
-    return ray
+    try:
+        yield
+    finally:
+        if started:
+            ray.shutdown()
 
 
 def cmd_extract(args) -> int:
     from pdf_extract_ray.config import get_rule_pack
     from pdf_extract_ray.pipelines.runner import extract_run
 
-    ray = _ray_session(args.num_cpus)
-    try:
+    with _ray_session(args.num_cpus):
         stats = extract_run(
             args.input, args.out, get_rule_pack(args.rule_pack),
             plan=args.plan, files_per_partition=args.files_per_partition,
         )
         print(json.dumps({"run": stats}))
         return 0
-    finally:
-        ray.shutdown()
 
 
 def cmd_quality(args) -> int:
     from pdf_extract_ray.pipelines.runner import quality_run
 
-    ray = _ray_session(args.num_cpus)
-    try:
+    with _ray_session(args.num_cpus):
         stats = quality_run(
             args.input, args.out, dedup=not args.no_dedup,
             global_dedup=args.global_dedup,
@@ -67,15 +69,12 @@ def cmd_quality(args) -> int:
         )
         print(json.dumps({"run": stats}))
         return 0
-    finally:
-        ray.shutdown()
 
 
 def cmd_webtext(args) -> int:
     from pdf_extract_ray.pipelines.webtext import webtext_run
 
-    ray = _ray_session(args.num_cpus)
-    try:
+    with _ray_session(args.num_cpus):
         stats = webtext_run(
             args.input, args.out, keep_rejects=args.keep_rejects,
             split_by_lang=args.split_by_lang,
@@ -98,8 +97,6 @@ def cmd_webtext(args) -> int:
         )
         print(json.dumps({"run": stats}))
         return 0
-    finally:
-        ray.shutdown()
 
 
 def _maybe_train_lm(train_glob: str | None):
@@ -118,8 +115,7 @@ def _maybe_train_lm(train_glob: str | None):
 def cmd_linkgraph(args) -> int:
     from pdf_extract_ray.pipelines.linkgraph import links_run
 
-    ray = _ray_session(args.num_cpus)
-    try:
+    with _ray_session(args.num_cpus):
         stats = links_run(
             args.input, args.out, respect_robots=args.respect_robots,
             pagerank_iters=args.pagerank_iters,
@@ -127,15 +123,12 @@ def cmd_linkgraph(args) -> int:
         )
         print(json.dumps({"run": stats}))
         return 0
-    finally:
-        ray.shutdown()
 
 
 def cmd_shards(args) -> int:
     from pdf_extract_ray.pipelines.shards import shards_run
 
-    ray = _ray_session(args.num_cpus)
-    try:
+    with _ray_session(args.num_cpus):
         stats = shards_run(
             args.input, args.out, id_col=args.id_col,
             n_shards=args.n_shards, method=args.method,
@@ -143,15 +136,12 @@ def cmd_shards(args) -> int:
         )
         print(json.dumps({"run": stats}))
         return 0
-    finally:
-        ray.shutdown()
 
 
 def cmd_history(args) -> int:
     from pdf_extract_ray.pipelines.history import history_run
 
-    ray = _ray_session(args.num_cpus)
-    try:
+    with _ray_session(args.num_cpus):
         stats = history_run(
             args.input, args.out, url_col=args.url_col,
             ts_col=args.ts_col, content_col=args.content_col,
@@ -160,15 +150,12 @@ def cmd_history(args) -> int:
         )
         print(json.dumps({"run": stats}))
         return 0
-    finally:
-        ray.shutdown()
 
 
 def cmd_export(args) -> int:
     """Export parquet shards to an interchange format (jsonl[.gz] /
     wet[.gz]) — distributed sinks, content-named atomic files."""
-    ray = _ray_session(args.num_cpus)
-    try:
+    with _ray_session(args.num_cpus):
         import glob as _glob
 
         import ray.data as rd
@@ -194,8 +181,6 @@ def cmd_export(args) -> int:
         print(json.dumps({"files": manifest.num_rows, "rows": rows,
                           "out": args.out}))
         return 0
-    finally:
-        ray.shutdown()
 
 
 def cmd_status(args) -> int:

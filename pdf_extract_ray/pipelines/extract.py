@@ -223,26 +223,14 @@ def extract_pages_fused(
     cfg: ExtractConfig = DEFAULT_CONFIG,
     *,
     batch_size: int | None = None,
-    concurrency=None,
 ) -> "ray.data.Dataset":
     """pages -> extracted, zero shuffles.
 
-    Default execution is stateless tasks with a per-worker stage cache
-    (fuses with the read; elastic).  Pass ``concurrency`` to pin an actor
-    pool instead (useful when stage state becomes heavy, e.g. a model).
-    ``batch_size=None`` processes whole blocks zero-copy; size the BLOCKS
-    at the read (``override_num_blocks`` ~ 2x CPUs, or
-    ``target_max_block_size``) — 10^2+ tiny blocks pay ~0.2 s Ray Data
-    per-task overhead each (SURVEY.md §7.4.4)."""
-    if concurrency:
-        return pages.map_batches(
-            ExtractDocuments,
-            fn_constructor_args=(cfg,),
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency,
-            num_cpus=1,
-        )
+    Execution is stateless tasks with a per-worker stage cache (fuses
+    with the read; elastic).  ``batch_size=None`` processes whole blocks
+    zero-copy; size the BLOCKS at the read (``override_num_blocks`` ~ 2x
+    CPUs, or ``target_max_block_size``) — 10^2+ tiny blocks pay ~0.2 s Ray
+    Data per-task overhead each (SURVEY.md §7.4.4)."""
     return pages.map_batches(
         _cached(ExtractDocuments, cfg), batch_format="pyarrow", batch_size=batch_size
     )
@@ -396,10 +384,9 @@ def rebuild_blocks(t: pa.Table) -> pa.Table:
 def reassemble_blocks(blocks: "ray.data.Dataset", assemble) -> "ray.data.Dataset":
     """The staged plans' wide step, one shuffle: block rows ->
     ``assemble(bucket)`` per hash bucket of urls.  ``compact_blocks`` runs
-    first on every block, in the same task as the shuffle's bucket-tag map
-    and, unless the parse map is an actor pool (``concurrency=``), as the
-    parse map too; a hot url reaches its reducer as at most one packed row
-    per input block, never as every raw block row."""
+    first on every block, in the same task as the parse map and the
+    shuffle's bucket-tag map; a hot url reaches its reducer as at most one
+    packed row per input block, never as every raw block row."""
     return bucketed_group_apply(
         blocks.map_batches(compact_blocks, batch_format="pyarrow"), ["url"],
         lambda t: assemble(rebuild_blocks(t)), body_format="pyarrow")
@@ -410,7 +397,6 @@ def extract_pages_staged(
     cfg: ExtractConfig = DEFAULT_CONFIG,
     *,
     batch_size: int | None = None,
-    concurrency=None,
     salt: int | None = None,
 ) -> "ray.data.Dataset":
     """pages -> blocks (explode, packed per url per block) ->
@@ -431,17 +417,10 @@ def extract_pages_staged(
 
     ``salt`` is accepted and ignored: map-side packing replaced the
     salted two-pass plan, and the keyword no longer changes the plan."""
-    if concurrency:
-        blocks = pages.map_batches(
-            ParsePagesToBlocks, fn_constructor_args=(cfg,),
-            batch_format="pyarrow", batch_size=batch_size,
-            concurrency=concurrency, num_cpus=1,
-        )
-    else:
-        blocks = pages.map_batches(
-            _cached(ParsePagesToBlocks, cfg), batch_format="pyarrow",
-            batch_size=batch_size,
-        )
+    blocks = pages.map_batches(
+        _cached(ParsePagesToBlocks, cfg), batch_format="pyarrow",
+        batch_size=batch_size,
+    )
     return reassemble_blocks(blocks, lambda t: _assemble_bucket(t, cfg))
 
 
@@ -450,15 +429,8 @@ def extract_sentences(
     cfg: ExtractConfig = DEFAULT_CONFIG,
     *,
     batch_size: int | None = None,
-    concurrency=None,
 ) -> "ray.data.Dataset":
     """pages -> per-sentence rows (fused, no shuffle)."""
-    if concurrency:
-        return pages.map_batches(
-            ExtractSentences, fn_constructor_args=(cfg,),
-            batch_format="pyarrow", batch_size=batch_size,
-            concurrency=concurrency, num_cpus=1,
-        )
     return pages.map_batches(
         _cached(ExtractSentences, cfg), batch_format="pyarrow",
         batch_size=batch_size,

@@ -15,12 +15,15 @@ bit-stable and the whole pipeline is DuckDB-oracle-checkable):
 4. ``tier2``              otherwise
 
 Scale shape: signal computation + tiering is one fused ``map_batches``
-(zero shuffles, embarrassingly parallel); the partitioned writer is the
+(zero shuffles, embarrassingly parallel) that runs the pandas kernel over
+row slices of at most ``TIER_SLICE_BYTES`` of text, so a task's tiering
+heap does not grow with its block; the partitioned writer is the
 manifest-driven resume loop every other pipeline here uses
 (``state/manifest.run_partitioned``), declared row-local: consecutive
 pending partitions (up to Ray Data's ``target_max_block_size`` of input)
 run as ONE streaming plan that tags each row with its partition id from
-its source file, reads one input file per task and writes
+its source file, groups the input files into read tasks of about
+``target_min_block_size`` bytes and writes
 ``part=<id>/[lang_id_v2=<lang>/]tier=<label>/`` in one pass; each
 partition is then committed on its own.  Thresholds are corpus-calibrated
 constants in ``TIER_RULES`` — a rule-pack analogue of the reference's
@@ -30,6 +33,7 @@ quality classes (euaa_사례/sentences/metadata_generator.py:92-461).
 from __future__ import annotations
 
 import glob
+import math
 import os
 
 import numpy as np
@@ -37,6 +41,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 from ray.data import Dataset
+from ray.data.block import BlockAccessor
 
 from pdf_extract_ray.stages.lm import lm_model_digest as _lm_digest
 from pdf_extract_ray.stages.nbquality import nb_model_digest
@@ -55,6 +60,10 @@ TIER_RULES = {
 
 SIGNAL_COLS = ["n_words", "stop_ratio", "mean_word_len", "dup_word_frac",
                "top_bigram_frac", "max_word_run"]
+
+# text bytes per tier kernel call: the kernels hold ~42 B of numpy
+# temporaries per character (~17 MB per slice), whatever the block size
+TIER_SLICE_BYTES = 512 << 10
 
 
 def tier_batch(batch: pd.DataFrame, text_col: str = "text",
@@ -89,20 +98,75 @@ def tier_batch(batch: pd.DataFrame, text_col: str = "text",
     return out
 
 
+def _text_slices(t: pa.Table, text_col: str,
+                 limit: int) -> list[tuple[int, int]]:
+    """``(start, stop)`` row ranges of ``t`` holding at most ``limit``
+    bytes of ``text_col`` each (a longer row gets a range of its own);
+    a zero-row table gets one empty range."""
+    col = t.column(text_col)
+    if t.num_rows == 0 or pa.types.is_null(col.type):
+        return [(0, t.num_rows)]
+    ends = np.cumsum(pc.binary_length(col).fill_null(0).to_numpy())
+    bounds = [0]
+    while bounds[-1] < t.num_rows:
+        start = bounds[-1]
+        base = ends[start - 1] if start else 0
+        stop = int(np.searchsorted(ends, base + limit, side="right"))
+        bounds.append(max(stop, start + 1))
+    return list(zip(bounds, bounds[1:]))
+
+
+def tier_slices(t: pa.Table, tier_fn, text_col: str = "text", *,
+                keep_rejects: bool = True) -> pa.Table:
+    """Run the pandas tier kernel ``tier_fn`` over one Arrow block, one
+    slice of at most ``TIER_SLICE_BYTES`` of text at a time (pandas
+    conversions as Ray Data's ``batch_format="pandas"`` does them),
+    dropping the ``reject_*`` tiers in Arrow unless ``keep_rejects``.
+    Equal to ``tier_fn`` on the whole block, then that filter."""
+    out = []
+    for start, stop in _text_slices(t, text_col, TIER_SLICE_BYTES):
+        df = BlockAccessor.for_block(t.slice(start, stop - start)).to_pandas()
+        part = BlockAccessor.for_block(tier_fn(df)).to_arrow()
+        if not keep_rejects:
+            part = part.filter(
+                pc.invert(pc.starts_with(part["tier"], "reject_")))
+        out.append(part)
+    return pa.concat_tables(out, promote_options="permissive")
+
+
 def webtext_tiers(ds: Dataset, text_col: str = "text",
                   rules: dict = TIER_RULES,
-                  nb_model: dict | None = None) -> Dataset:
-    """Dataset-level tiering: one narrow fused stage.  The optional NB
-    quality model is broadcast once via the object store."""
-    if nb_model is None:
-        return ds.map_batches(
-            lambda b: tier_batch(b, text_col, rules), batch_format="pandas")
+                  nb_model: dict | None = None, *,
+                  keep_rejects: bool = True) -> Dataset:
+    """Dataset-level tiering: one narrow fused stage over Arrow blocks
+    (:func:`tier_slices`); ``keep_rejects=False`` drops the reject tiers
+    in the same map.  The optional NB quality model is broadcast once via
+    the object store."""
     import ray
 
-    ref = ray.put(nb_model)
-    return ds.map_batches(
-        lambda b: tier_batch(b, text_col, rules, ray.get(ref)),
-        batch_format="pandas")
+    ref = None if nb_model is None else ray.put(nb_model)
+
+    def tiers(t: pa.Table) -> pa.Table:
+        model = None if ref is None else ray.get(ref)
+        return tier_slices(t, lambda b: tier_batch(b, text_col, rules, model),
+                           text_col, keep_rejects=keep_rejects)
+
+    return ds.map_batches(tiers, batch_format="pyarrow")
+
+
+def _read_tasks(files: list[str]) -> int:
+    """Read tasks for ``files``: their bytes over Ray Data's
+    ``target_min_block_size`` (the size it deems worth a block), rounded
+    up, at most one per file; one per file when a size is unknown."""
+    from ray.data import DataContext
+
+    from pdf_extract_ray.state.manifest import _input_bytes
+
+    size = _input_bytes(files)
+    if math.isinf(size):
+        return len(files)
+    target = DataContext.get_current().target_min_block_size
+    return min(len(files), max(1, math.ceil(size / target)))
 
 
 def _tag_parts(t: pa.Table, part_of: dict[str, int]) -> pa.Table:
@@ -146,11 +210,15 @@ def webtext_run(
 
     The partition is the unit of resume, not of execution: consecutive
     pending partitions run as one streaming plan per batch of at most
-    ``DataContext.target_max_block_size`` input bytes, one read task per
-    input file, and each partition is committed on its own afterwards
-    (``run_partitioned(row_local=True)``).  A batch of several partitions
-    writes one file per input file and tier; ``min_rows_per_file``
-    bundles the write only of a partition that runs alone.
+    ``DataContext.target_max_block_size`` input bytes, and each partition
+    is committed on its own afterwards
+    (``run_partitioned(row_local=True)``).  Nor is the input file the
+    unit of a Ray task: a batch's files are read in
+    ``ceil(bytes / DataContext.target_min_block_size)`` tasks (at most one
+    per file), so small files share a task and files of 1 MiB or more get
+    one each.  A batch of several partitions writes one file per read
+    task, partition and tier; ``min_rows_per_file`` bundles the write
+    only of a partition that runs alone.
 
     ``extract_first=True`` takes raw Common-Crawl-style pages (url, html,
     ...) instead of pre-extracted documents: the flagship fused
@@ -234,10 +302,12 @@ def webtext_run(
         lm_tail_min = DEFAULT_TAIL_MIN
 
     def _read(files: list[str], include_paths: bool):
-        # one read task per input file: a task never holds more than one
-        # file's rows, however many partitions the batch spans
+        # read tasks sized by input bytes: each costs ~30-40 ms of Ray
+        # overhead, so files under Ray Data's target_min_block_size share
+        # one; Ray splits the file list by count, so a file of that size
+        # or more keeps a task of its own when the batch's files are alike
         kw = {"include_paths": include_paths,
-              "override_num_blocks": len(files)}
+              "override_num_blocks": _read_tasks(files)}
         if files[0].endswith((".wet", ".wet.gz")):
             # WET = Common Crawl's pre-extracted text: conversion
             # records already carry the text column, so extraction is
@@ -349,13 +419,11 @@ def webtext_run(
         if per_lang_rules:
             from pdf_extract_ray.stages.langquality import webtext_tiers_lang
 
-            tiers = webtext_tiers_lang(ds, col, rules, nb_model=nb_model)
+            tiers = webtext_tiers_lang(ds, col, rules, nb_model=nb_model,
+                                       keep_rejects=keep_rejects)
         else:
-            tiers = webtext_tiers(ds, col, rules, nb_model=nb_model)
-        if not keep_rejects:
-            tiers = tiers.map_batches(
-                lambda b: b[~b["tier"].str.startswith("reject_")],
-                batch_format="pandas")
+            tiers = webtext_tiers(ds, col, rules, nb_model=nb_model,
+                                  keep_rejects=keep_rejects)
         part_cols = ["tier"]
         if split_by_lang:
             if not per_lang_rules:
@@ -366,8 +434,8 @@ def webtext_run(
                 tiers = lang_id_v2(tiers, col)
             part_cols = ["lang_id_v2", "tier"]
         if tagged:
-            # no min_rows_per_file: bundling would merge read tasks of
-            # different files (and partitions) into one task
+            # no min_rows_per_file: it would bundle the blocks of several
+            # read tasks into one write task
             tiers.write_parquet(staging, partition_cols=["part", *part_cols])
         else:
             tiers.write_parquet(os.path.join(staging, f"part={batch[0][0]}"),

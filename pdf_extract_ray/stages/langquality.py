@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 from ray.data import Dataset
 
 from pdf_extract_ray.stages.langid import lang_id_v2_batch
@@ -159,21 +160,28 @@ def webtext_tiers_lang(
     rules: dict | None = None,
     lang_rules: dict[str, float] = LANG_TIER_RULES,
     nb_model: dict | None = None,
+    *,
+    keep_rejects: bool = True,
 ) -> Dataset:
     """Dataset-level per-language tiering: ONE narrow fused stage
     (language ID + signals + tier — nothing shuffles, nothing
-    materializes).  The optional NB model is broadcast once."""
-    if nb_model is None:
-        return ds.map_batches(
-            lambda b: tier_batch_lang(b, text_col, rules, lang_rules),
-            batch_format="pandas")
+    materializes), over bounded row slices of each Arrow block like
+    ``webtext.webtext_tiers``; ``keep_rejects=False`` drops the reject
+    tiers in the same map.  The optional NB model is broadcast once."""
     import ray
 
-    ref = ray.put(nb_model)
-    return ds.map_batches(
-        lambda b: tier_batch_lang(b, text_col, rules, lang_rules,
-                                  ray.get(ref)),
-        batch_format="pandas")
+    from pdf_extract_ray.pipelines.webtext import tier_slices
+
+    ref = None if nb_model is None else ray.put(nb_model)
+
+    def tiers(t: pa.Table) -> pa.Table:
+        model = None if ref is None else ray.get(ref)
+        return tier_slices(
+            t, lambda b: tier_batch_lang(b, text_col, rules, lang_rules,
+                                         model),
+            text_col, keep_rejects=keep_rejects)
+
+    return ds.map_batches(tiers, batch_format="pyarrow")
 
 
 def reference_signals(text: str, lang: str) -> dict:

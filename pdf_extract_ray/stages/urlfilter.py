@@ -328,8 +328,13 @@ def term_blocklist_oracle_sql(
 ) -> str:
     """DuckDB mirror of :func:`term_blocklist_signals` — token
     list_filter for words, replace-length arithmetic for phrase
-    counts (non-overlapping, the Python ``str.count`` rule)."""
-    t = f"lower(coalesce({text_expr}, ''))"
+    counts (non-overlapping, the Python ``str.count`` rule).
+
+    Python's ``str.lower`` maps ``İ`` (U+0130) to two characters,
+    ``i`` + U+0307, where DuckDB's ``lower`` gives one; the text spells
+    it out before lowering, and each phrase's count divides by the
+    length of the lowered literal it replaces."""
+    t = f"lower(replace(coalesce({text_expr}, ''), '\u0130', 'i\u0307'))"
     wl = ", ".join("'" + w.lower().replace("'", "''") + "'"
                    for w in sorted(set(banned_words)))
     nw = (f"len(list_filter(regexp_extract_all({t}, '[a-z0-9]+'), "
@@ -338,7 +343,7 @@ def term_blocklist_oracle_sql(
     for p in banned_phrases:
         lit = p.lower().replace("'", "''")
         terms.append(f"(length({t}) - length(replace({t}, '{lit}', '')))"
-                     f" // {len(p)}")
+                     f" // {len(p.lower())}")
     np_sql = " + ".join(terms) if terms else "0"
     return f"""
 SELECT {id_col},

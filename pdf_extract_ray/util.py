@@ -42,8 +42,9 @@ def round_half_away(x, ndigits: int):
 
 def parse_stats(stats_str: str) -> list[dict]:
     """Parse ``Dataset.stats()`` into per-operator dicts (name, wall_s,
-    remote_wall_total_s, udf_total_s, rows) — the feedback loop for sizing
-    batch/concurrency per stage without eyeballing the raw text.
+    tasks, remote_wall_total_s, udf_total_s, peak_heap_mib — the largest
+    task's, rows) — the feedback loop for sizing batch/concurrency per
+    stage without eyeballing the raw text.
 
     Multi-suboperator blocks (shuffle/aggregate stages) are summed across
     suboperators, with ``rows`` taken from the last suboperator that
@@ -69,6 +70,9 @@ def parse_stats(stats_str: str) -> list[dict]:
         if not m:
             continue
         op = {"name": m.group(1), "wall_s": float(m.group(2))}
+        tm = re.match(r"[^:]*: (\d+) tasks executed", head)
+        if tm:
+            op["tasks"] = int(tm.group(1))
         sub_parts = block.split("Suboperator ")
         sections = sub_parts[1:] if len(sub_parts) > 1 else [block]
         for label, key in (("Remote wall time", "remote_wall_total_s"),
@@ -77,6 +81,10 @@ def parse_stats(stats_str: str) -> list[dict]:
                     if v is not None]
             if vals:
                 op[key] = round(sum(vals), 6)
+        heaps = [float(h) for h in re.findall(
+            r"Peak heap memory usage \(MiB\):.*? ([0-9.]+) max", block)]
+        if heaps:
+            op["peak_heap_mib"] = max(heaps)
         rows = None
         for sec in sections:
             rm = re.search(r"Output num rows per block:.*? (\d+) total", sec)

@@ -189,6 +189,8 @@ def test_parse_stats(ray_session):
     ops = parse_stats(mat.stats())
     assert ops and all("name" in o and "wall_s" in o for o in ops)
     assert any("MapBatches" in o["name"] for o in ops)
+    op = next(o for o in ops if "MapBatches" in o["name"])
+    assert op["tasks"] >= 1 and op["peak_heap_mib"] > 0
 
 
 def test_parse_stats_multi_suboperator(ray_session):

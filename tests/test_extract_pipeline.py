@@ -152,7 +152,6 @@ def test_staged_salted_byte_identical_under_hot_key_skew(ray_session):
     unsalted = run()
     assert run(nparts=1) == unsalted  # the hot url packs into one row
     assert run(nparts=13) == unsalted
-    assert run(concurrency=1) == unsalted  # actor-pool parse
     salted = run(salt=8)
     salted_big = run(salt=64)
     assert salted == unsalted

@@ -559,3 +559,32 @@ def test_term_blocklist_token_semantics_and_sql_parity(ray_session):
                ["casino", "ass"], ["free money fast"])).df()
            .sort_values("doc_id").reset_index(drop=True))
     pd.testing.assert_frame_equal(got, sql, check_dtype=False)
+
+
+def test_term_blocklist_sql_parity_on_dotted_capital_i(ray_session):
+    """``"İ".lower()`` is two characters in Python (``i`` + U+0307) and one
+    in DuckDB: the SQL mirror still counts words and phrases like
+    :func:`term_blocklist_signals`."""
+    from pdf_extract_ray.stages.urlfilter import (
+        term_blocklist_oracle_sql,
+        term_blocklist_signals,
+    )
+
+    docs = pd.DataFrame({
+        "doc_id": np.arange(4, dtype="int64"),
+        "text": ["İzmir and İzmir and İzmir",
+                 "i\u0307zmir spelled in lowercase",
+                 "İ İ İ İ",
+                 "no hit here"],
+    })
+    words, phrases = ["zmir"], ["İzmir", "İ"]
+    got = (term_blocklist_signals(rd.from_pandas(docs), words, phrases)
+           .to_pandas().sort_values("doc_id").reset_index(drop=True))
+    assert got["n_banned_words"].tolist() == [3, 1, 0, 0]
+    assert got["n_banned_phrases"].tolist() == [6, 2, 4, 0]
+    con = duckdb.connect()
+    con.register("documents", docs)
+    sql = (con.sql(term_blocklist_oracle_sql(
+               "SELECT doc_id, text FROM documents", words, phrases)).df()
+           .sort_values("doc_id").reset_index(drop=True))
+    pd.testing.assert_frame_equal(got, sql, check_dtype=False)

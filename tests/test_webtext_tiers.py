@@ -6,16 +6,20 @@ import os
 import shutil
 
 import pandas as pd
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 import ray.data as rd
 
 from pdf_extract_ray.pipelines.webtext import (
     TIER_RULES,
+    _text_slices,
     tier_batch,
+    tier_slices,
     webtext_run,
     webtext_tiers,
 )
+from pdf_extract_ray.util import parse_stats
 
 
 def _tier_of(text):
@@ -187,24 +191,119 @@ def test_resume_runs_pending_partitions_as_one_write(ray_session, tmp_path,
         alone = str(tmp_path / f"alone{i}")
         webtext_run(str(src / f"d{i}.parquet"), alone, keep_rejects=True,
                     files_per_partition=1)
-        got = {os.path.relpath(d, f"{out}/part={i}")
-               for d in glob.glob(f"{out}/part={i}/tier=*")}
-        want = {os.path.relpath(d, f"{alone}/part=0")
-                for d in glob.glob(f"{alone}/part=0/tier=*")}
-        assert got == want and got
-        for d in got:
-            a = pq.read_table(f"{out}/part={i}/{d}")
-            b = pq.read_table(f"{alone}/part=0/{d}")
-            assert a.schema.remove_metadata() == b.schema.remove_metadata()
-            pd.testing.assert_frame_equal(
-                a.to_pandas().sort_values("url").reset_index(drop=True),
-                b.to_pandas().sort_values("url").reset_index(drop=True))
+        _assert_same_tiers(f"{out}/part={i}", f"{alone}/part=0")
 
 
-def test_warc_batch_split_by_lang(ray_session, tmp_path):
-    """WARC shards batched into one plan: each partition's rows land in
-    its own part=<id>/lang_id_v2=<lang>/tier=<label>/ dirs, equal to a
-    run of that shard alone."""
+def _assert_same_tiers(got_dir: str, want_dir: str) -> None:
+    """Both partition dirs hold the same ``[lang_id_v2=*/]tier=*`` leaves,
+    each with the same rows (by url) and schema (without metadata)."""
+    def leaves(d):
+        return {os.path.relpath(os.path.dirname(f), d)
+                for f in glob.glob(f"{d}/**/*.parquet", recursive=True)}
+
+    got = leaves(got_dir)
+    assert got == leaves(want_dir) and got
+    for d in got:
+        a = pq.read_table(f"{got_dir}/{d}")
+        b = pq.read_table(f"{want_dir}/{d}")
+        assert a.schema.remove_metadata() == b.schema.remove_metadata()
+        assert "path" not in a.column_names and "part" not in a.column_names
+        pd.testing.assert_frame_equal(
+            a.to_pandas().sort_values("url").reset_index(drop=True),
+            b.to_pandas().sort_values("url").reset_index(drop=True))
+
+
+def _nb_model():
+    from pdf_extract_ray.stages.nbquality import train_nb_quality
+
+    return train_nb_quality(rd.from_pandas(pd.DataFrame({
+        "text": ["the report was written and it is clear that it is good",
+                 "we saw that the data was complete and the method sound",
+                 "buy cheap pills casino bonus click here free win now",
+                 "casino bonus free free free win now click here buy now"],
+        "label": ["good", "good", "spam", "spam"]})), n_buckets=1 << 10)
+
+
+@pytest.mark.parametrize("variant", ["plain", "split_by_lang",
+                                     "per_lang_rules", "nb_model"])
+def test_batch_read_tasks_sized_by_input_bytes(ray_session, tmp_path,
+                                               monkeypatch, text_docs,
+                                               variant):
+    """Six pending partitions of small files read in
+    ``ceil(bytes / target_min_block_size)`` tasks, not one per file, and
+    write per ``part=`` exactly what one read task per file writes."""
+    flags = {"plain": {},
+             "split_by_lang": {"keep_rejects": True, "split_by_lang": True},
+             "per_lang_rules": {"per_lang_rules": True,
+                                "split_by_lang": True},
+             "nb_model": {"keep_rejects": True, "nb_model": _nb_model()},
+             }[variant]
+    src = text_docs(6)
+    total = sum(os.path.getsize(f) for f in src.glob("*.parquet"))
+    tasks = []
+    orig = rd.Dataset.write_parquet
+
+    def spy(self, *a, **kw):
+        out = orig(self, *a, **kw)
+        tasks.append(next(op["tasks"] for op in parse_stats(self.stats())
+                          if op["name"].startswith("ReadParquet")))
+        return out
+
+    monkeypatch.setattr(rd.Dataset, "write_parquet", spy)
+    ctx = rd.DataContext.get_current()
+    outs = []
+    # ceil(total / target) is 3 tasks for the first target, 6 (one per
+    # file) for the second
+    for target in (total // 3 + 1, 1):
+        monkeypatch.setattr(ctx, "target_min_block_size", target)
+        outs.append(str(tmp_path / f"out{target}"))
+        assert webtext_run(f"{src}/*.parquet", outs[-1],
+                           files_per_partition=1, **flags) == {
+            "completed": 6, "skipped": 0, "failed": 0}
+    assert tasks == [3, 6]
+    for i in range(6):
+        _assert_same_tiers(f"{outs[0]}/part={i}", f"{outs[1]}/part={i}")
+
+
+@pytest.mark.parametrize("keep_rejects", [True, False])
+def test_tier_slices_equal_tier_batch_on_the_whole_block(keep_rejects,
+                                                         monkeypatch):
+    """The sliced tier map over a block many slices long, with null and
+    empty texts, equals ``tier_batch`` over the whole block."""
+    from ray.data.block import BlockAccessor
+
+    import pdf_extract_ray.pipelines.webtext as webtext
+    from pdf_extract_ray.corpus import pages_table
+
+    docs = pages_table(300, seed=7).to_pandas()[["url", "text", "lang"]]
+    docs.loc[[3, 299], "text"] = ""
+    assert docs["text"].isna().any()
+    t = pa.Table.from_pandas(docs, preserve_index=False)
+    monkeypatch.setattr(webtext, "TIER_SLICE_BYTES", 4096)
+    assert len(_text_slices(t, "text", 4096)) > 20
+    want = tier_batch(t.to_pandas())
+    assert {"tier2", "reject_short"} <= set(want["tier"])
+    if not keep_rejects:
+        want = want[~want["tier"].str.startswith("reject_")]
+    got = tier_slices(t, tier_batch, "text", keep_rejects=keep_rejects)
+    assert got.schema.remove_metadata() == (
+        BlockAccessor.for_block(want).to_arrow().schema.remove_metadata())
+    pd.testing.assert_frame_equal(got.to_pandas(),
+                                  want.reset_index(drop=True))
+
+
+def test_text_slices_bound_bytes_per_slice():
+    t = pa.table({"text": ["ab", None, "abcdef", "", "abc", "a"]})
+    assert _text_slices(t, "text", 4) == [(0, 2), (2, 3), (3, 6)]
+    assert _text_slices(t, "text", 100) == [(0, 6)]
+    assert _text_slices(t.slice(0, 0), "text", 4) == [(0, 0)]
+
+
+def test_warc_batch_split_by_lang(ray_session, tmp_path, monkeypatch):
+    """WARC shards batched into one plan, all three parsed in one task
+    (they hold far less than ``target_min_block_size``): each partition's
+    rows land in its own part=<id>/lang_id_v2=<lang>/tier=<label>/ dirs,
+    equal to a run of that shard alone."""
     from pdf_extract_ray.corpus import pages_table
     from pdf_extract_ray.sources.warc import build_warc
 
@@ -215,9 +314,21 @@ def test_warc_batch_split_by_lang(ray_session, tmp_path):
         (tmp_path / f"crawl-{i}.warc.gz").write_bytes(
             build_warc(rows[i * 15:(i + 1) * 15], compress=True))
     out = str(tmp_path / "tiers")
+    tasks = []
+    orig = rd.Dataset.write_parquet
+
+    def spy(self, *a, **kw):
+        res = orig(self, *a, **kw)
+        tasks.extend(op["tasks"] for op in parse_stats(self.stats())
+                     if op["name"].startswith("MapBatches(parse)"))
+        return res
+
+    monkeypatch.setattr(rd.Dataset, "write_parquet", spy)
     res = webtext_run(str(tmp_path / "*.warc.gz"), out, keep_rejects=True,
                       split_by_lang=True, files_per_partition=1)
+    monkeypatch.setattr(rd.Dataset, "write_parquet", orig)
     assert res == {"completed": 3, "skipped": 0, "failed": 0}
+    assert tasks == [1]
     assert sum(pq.read_table(f"{out}/part={i}").num_rows
                for i in range(3)) == len(rows)
     for i in range(3):
@@ -225,20 +336,7 @@ def test_warc_batch_split_by_lang(ray_session, tmp_path):
         webtext_run(str(tmp_path / f"crawl-{i}.warc.gz"), alone,
                     keep_rejects=True, split_by_lang=True,
                     files_per_partition=1)
-        leaf = os.path.join("lang_id_v2=*", "tier=*")
-        got = {os.path.relpath(d, f"{out}/part={i}")
-               for d in glob.glob(os.path.join(out, f"part={i}", leaf))}
-        want = {os.path.relpath(d, f"{alone}/part=0")
-                for d in glob.glob(os.path.join(alone, "part=0", leaf))}
-        assert got == want and got
-        for d in got:
-            a = pq.read_table(f"{out}/part={i}/{d}").to_pandas()
-            b = pq.read_table(f"{alone}/part=0/{d}").to_pandas()
-            assert list(a.columns) == list(b.columns)
-            assert "path" not in a.columns and "part" not in a.columns
-            pd.testing.assert_frame_equal(
-                a.sort_values("url").reset_index(drop=True),
-                b.sort_values("url").reset_index(drop=True))
+        _assert_same_tiers(f"{out}/part={i}", f"{alone}/part=0")
 
 
 def test_webtext_run_under_positional_wrapper(ray_session, tmp_path,
@@ -283,3 +381,19 @@ def test_batch_over_inputs_with_a_path_column(ray_session, tmp_path,
         got = pq.read_table(f"{out}/part={i}").to_pandas()
         assert len(got) > 0
         assert (got["path"] == got["url"].str.replace("https://", "/")).all()
+
+
+def test_cli_command_keeps_the_callers_ray_session(ray_session, tmp_path,
+                                                  text_docs):
+    """A CLI command run inside a caller's Ray session leaves it running;
+    it shuts down only a session it started itself."""
+    import ray
+
+    from pdf_extract_ray.__main__ import main
+
+    src = text_docs(2)
+    assert ray.is_initialized()
+    assert main(["webtext", "--input", f"{src}/*.parquet",
+                 "--out", str(tmp_path / "out"),
+                 "--files-per-partition", "1"]) == 0
+    assert ray.is_initialized()
