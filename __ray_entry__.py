@@ -53,7 +53,7 @@ def entry() -> Any:
 
 
 # ---------------------------------------------------------------------------
-# queries — aggregations / sorts / joins (SURVEY.md §2.4-2.6)
+# queries — aggregations (SURVEY.md §2.5)
 # ---------------------------------------------------------------------------
 
 def q_corpus_counts(sf_dir: str):
@@ -63,151 +63,6 @@ def q_corpus_counts(sf_dir: str):
     return out.map_batches(
         lambda b: b.rename(columns={"count()": "n_docs"}), batch_format="pandas"
     )
-
-
-def q_event_type_stats(sf_dir: str):
-    # A6: distribution report (add_metadata.py:257-286) over the events table
-    from ray.data.aggregate import Count, Sum
-
-    ds = _t(sf_dir, "events", columns=["event_type", "value"])
-    out = ds.groupby("event_type").aggregate(
-        Count(alias_name="n"), Sum("value", alias_name="sum_value")
-    )
-
-    def finish(b: pd.DataFrame) -> pd.DataFrame:
-        b["sum_value"] = round_half_away(b["sum_value"], 2)
-        return b
-
-    return out.map_batches(finish, batch_format="pandas")
-
-
-def q_recent_events_topk(sf_dir: str):
-    # O3: ORDER BY ts DESC LIMIT k (database.py:467-497)
-    ds = _t(sf_dir, "events", columns=["event_id", "ts", "user_id", "event_type"])
-    # event_id tiebreak keeps the cutoff deterministic if ts values collide
-    return ds.sort(["ts", "event_id"], descending=[True, True]).limit(100)
-
-
-def q_order_priority_rollup(sf_dir: str):
-    # A3: status rollup (database.py:273-280)
-    ds = _t(sf_dir, "orders", columns=["o_orderpriority"])
-    out = ds.groupby("o_orderpriority").count()
-    return out.map_batches(
-        lambda b: b.rename(columns={"count()": "n"}), batch_format="pandas"
-    )
-
-
-def q_pricing_summary(sf_dir: str):
-    # A4-analogue grouped aggregate with map-side PARTIAL aggregation
-    # (combine inside map_batches, then a small groupby — SURVEY.md §4/guide)
-    from ray.data.aggregate import Sum
-
-    ds = _t(
-        sf_dir,
-        "lineitem",
-        columns=["l_returnflag", "l_linestatus", "l_quantity",
-                 "l_extendedprice", "l_discount"],
-    )
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.assign(
-            disc_price=b.l_extendedprice * (1 - b.l_discount), n=1
-        )
-        g = (
-            b.groupby(["l_returnflag", "l_linestatus"], as_index=False)
-            .agg(
-                sum_qty=("l_quantity", "sum"),
-                sum_base_price=("l_extendedprice", "sum"),
-                sum_disc_price=("disc_price", "sum"),
-                sum_disc=("l_discount", "sum"),
-                count_order=("n", "sum"),
-            )
-        )
-        return g
-
-    partials = ds.map_batches(partial, batch_format="pandas", batch_size=16384)
-    final = partials.groupby(["l_returnflag", "l_linestatus"]).aggregate(
-        Sum("sum_qty", alias_name="sum_qty"),
-        Sum("sum_base_price", alias_name="sum_base_price"),
-        Sum("sum_disc_price", alias_name="sum_disc_price"),
-        Sum("sum_disc", alias_name="sum_disc"),
-        Sum("count_order", alias_name="count_order"),
-    )
-
-    def finish(b: pd.DataFrame) -> pd.DataFrame:
-        n = b["count_order"].astype("float64")
-        b["avg_qty"] = round_half_away(b["sum_qty"] / n, 4)
-        b["avg_price"] = round_half_away(b["sum_base_price"] / n, 4)
-        b["avg_disc"] = round_half_away(b["sum_disc"] / n, 4)
-        b["sum_qty"] = round_half_away(b["sum_qty"], 2)
-        b["sum_base_price"] = round_half_away(b["sum_base_price"], 2)
-        b["sum_disc_price"] = round_half_away(b["sum_disc_price"], 2)
-        return b.drop(columns=["sum_disc"])
-
-    return final.map_batches(finish, batch_format="pandas")
-
-
-def q_windowed_events(sf_dir: str):
-    # streaming-shaped tumbling window: per-user hourly rollup (guide pattern;
-    # the reference has no stream semantics — SURVEY.md §2.9)
-    from pdf_extract_ray.stages.agg import grouped_aggregate
-
-    ds = _t(sf_dir, "events", columns=["user_id", "ts", "value"])
-
-    def add_window(b: pd.DataFrame) -> pd.DataFrame:
-        b["hour"] = b["ts"].dt.floor("h")
-        return b.drop(columns=["ts"])
-
-    # high-cardinality (user, window) rollup -> bucketed vectorized
-    # aggregate with map-side partials (stages/agg.py), not per-group Python
-    out = grouped_aggregate(
-        ds.map_batches(add_window, batch_format="pandas"),
-        ["user_id", "hour"],
-        {"n_events": ("user_id", "count"), "sum_value": ("value", "sum")},
-    )
-
-    def finish(b: pd.DataFrame) -> pd.DataFrame:
-        b["sum_value"] = round_half_away(b["sum_value"], 2)
-        return b
-
-    return out.map_batches(finish, batch_format="pandas")
-
-
-def q_orders_customer_join(sf_dir: str):
-    # J6: left join keeping unmatched left rows (create_csv.py:47-122)
-    orders = _t(sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_totalprice"])
-    cust = _t(sf_dir, "customer", columns=["c_custkey", "c_name", "c_nationkey"])
-    joined = orders.join(
-        cust, join_type="left_outer", num_partitions=8,
-        on=("o_custkey",), right_on=("c_custkey",),
-    )
-    return joined.select_columns(
-        ["o_orderkey", "o_custkey", "o_totalprice", "c_name", "c_nationkey"]
-    )
-
-
-def q_customer_order_rollup(sf_dir: str):
-    # J8-analogue: full-outer semantics — every customer appears even with
-    # zero orders (create_csv.py:202-319 set-difference behavior)
-    from pdf_extract_ray.stages.agg import grouped_aggregate
-
-    orders = _t(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
-    per_cust = grouped_aggregate(
-        orders, ["o_custkey"],
-        {"n_orders": ("o_custkey", "count"), "total_spend": ("o_totalprice", "sum")},
-    )
-    cust = _t(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
-    joined = cust.join(
-        per_cust, join_type="left_outer", num_partitions=8,
-        on=("c_custkey",), right_on=("o_custkey",),
-    )
-
-    def finish(b: pd.DataFrame) -> pd.DataFrame:
-        b["n_orders"] = b["n_orders"].fillna(0).astype("int64")
-        b["total_spend"] = round_half_away(b["total_spend"].fillna(0.0), 2)
-        return b[["c_custkey", "c_mktsegment", "n_orders", "total_spend"]]
-
-    return joined.map_batches(finish, batch_format="pandas")
 
 
 # ---------------------------------------------------------------------------
@@ -393,59 +248,6 @@ def q_host_quality_docs(sf_dir: str):
         score_col="n_chars", min_avg=298.0)
 
 
-def q_top_events_per_user(sf_dir: str):
-    # grouped top-k (agg.grouped_top_k): 2 highest-value events per
-    # user — map-side per-batch pre-trim to k rows per group BEFORE
-    # the shuffle (a million-row group ships k x #blocks rows), ONE
-    # bucketed final top-k.  tie_col=event_id: determinism contract.
-    # (The older top_orders_per_customer query keeps the in-bucket
-    # window shape; this one exercises the pre-trim plan.)
-    from pdf_extract_ray.stages.agg import grouped_top_k
-
-    ds = _t(sf_dir, "events", columns=["user_id", "event_id", "value"])
-    return grouped_top_k(ds, ["user_id"], "value", 2,
-                         tie_col="event_id")
-
-
-def q_validate_orders(sf_dir: str):
-    # data-contract validation (stages/contract.validate_table): the
-    # ingest gate — null/range/regex/enum rules are additive per-batch
-    # counts (one narrow pass); the unique rule is the one shuffle
-    # (distinct (key, count) partials, ids only).
-    from pdf_extract_ray.stages.contract import validate_table
-
-    ds = _t(sf_dir, "orders",
-            columns=["o_orderkey", "o_custkey", "o_totalprice",
-                     "o_orderstatus", "o_orderpriority"])
-    return validate_table(
-        ds,
-        not_null=["o_custkey"],
-        ranges={"o_totalprice": (0.0, 400000.0)},
-        patterns={"o_orderpriority": "[1-5]-[A-Z]+"},
-        allowed={"o_orderstatus": ["O", "F", "P"]},
-        unique=["o_orderkey"])
-
-
-def q_debounced_events(sf_dir: str):
-    # streaming debounce (drop same-user-same-type events arriving
-    # within 60 s of the previous one — the event-pipeline dedup for
-    # retry storms / double-clicks): PURE COMPOSITION of the existing
-    # grouped LAG (one bucketed shuffle) + a narrow filter.
-    from pdf_extract_ray.stages.windows import grouped_lag
-
-    ds = _t(sf_dir, "events",
-            columns=["event_id", "user_id", "event_type", "ts"])
-    lagged = grouped_lag(ds, ["user_id", "event_type"],
-                         ["ts", "event_id"], "ts", out_col="pts")
-
-    def keep(b: pd.DataFrame) -> pd.DataFrame:
-        ok = b["pts"].isna() | (
-            (b["ts"] - b["pts"]) >= pd.Timedelta(seconds=60))
-        return b.loc[ok, ["event_id", "user_id", "event_type", "ts"]]
-
-    return lagged.map_batches(keep, batch_format="pandas")
-
-
 def q_zscore_docs_by_lang(sf_dir: str):
     # per-group score standardization (agg.grouped_standardize): each
     # doc's length as a z-score WITHIN its language — the calibrator
@@ -461,108 +263,6 @@ def q_zscore_docs_by_lang(sf_dir: str):
     return grouped_standardize(ds, ["lang"], "n_chars")
 
 
-def q_rolling_quantity_lineitem(sf_dir: str):
-    # grouped sliding-window aggregates (windows.grouped_rolling): the
-    # per-key moving sum/mean/min/max — SQL ROWS BETWEEN 2 PRECEDING AND
-    # CURRENT ROW — over order line numbers.  ONE bucketed shuffle
-    # co-locates key groups, then vectorized pandas rolling C kernels
-    # per bucket.  l_quantity is integer-valued, so the sliding sums
-    # are exact and bit-identical to the window-function oracle.
-    # (linenumber alone is NOT unique per order in this synthetic data;
-    # partkey+suppkey complete the required unique ordering.)
-    from pdf_extract_ray.stages.windows import grouped_rolling
-
-    ds = _t(sf_dir, "lineitem",
-            columns=["l_orderkey", "l_linenumber", "l_partkey",
-                     "l_suppkey", "l_quantity"])
-    return grouped_rolling(
-        ds, ["l_orderkey"], ["l_linenumber", "l_partkey", "l_suppkey"],
-        "l_quantity",
-        {"qty3_sum": "sum", "qty3_mean": "mean",
-         "qty3_min": "min", "qty3_max": "max"}, window=3)
-
-
-def q_interval_overlap_join(sf_dir: str):
-    # overlapping-interval stabbing join (joins.broadcast_interval_join):
-    # each event row emits one row per OVERLAPPING value band it falls in
-    # (1:N — broadcast_range_join's disjoint contract can't express
-    # this).  The band table is segment-decomposed once on the driver,
-    # broadcast via ray.put; per batch ONE searchsorted + np.repeat
-    # gather — zero shuffle, the fact stream never moves.
-    from pdf_extract_ray.stages.joins import broadcast_interval_join
-
-    ds = _t(sf_dir, "events", columns=["event_id", "value"])
-    bands = pd.DataFrame({
-        "band_id": np.array([0, 1, 2, 3], dtype=np.int64),
-        "lo": [0.0, 50.0, 150.0, 0.0],
-        "hi": [100.0, 200.0, 500.0, 500.0],
-        "band": ["low", "mid", "high", "all"],
-    })
-    return broadcast_interval_join(
-        ds, bands, value_col="value", lo_col="lo", hi_col="hi",
-        payload_cols=["band_id", "band"])
-
-
-def q_rolling_value_1h_events(sf_dir: str):
-    # time-window rolling aggregates (windows.grouped_rolling_time): per
-    # user, count/sum/mean/max of event values over the trailing hour —
-    # SQL RANGE BETWEEN INTERVAL 1 HOUR PRECEDING AND CURRENT ROW.  One
-    # bucketed shuffle co-locates user groups, then pandas time-based
-    # rolling C kernels per bucket.  Values floored to integers so the
-    # sliding sums are exact (bit-identical to the window oracle); ts is
-    # unique per user in this data (the RANGE-frame peer contract).
-    from pdf_extract_ray.stages.windows import grouped_rolling_time
-
-    ds = _t(sf_dir, "events",
-            columns=["event_id", "user_id", "ts", "value"])
-
-    def derive(b: pd.DataFrame) -> pd.DataFrame:
-        b["v"] = np.floor(b["value"].to_numpy()).astype(np.int64).astype(
-            np.float64)
-        return b.drop(columns=["value"])
-
-    return grouped_rolling_time(
-        ds.map_batches(derive, batch_format="pandas"),
-        ["user_id"], "ts", "v",
-        {"n_1h": "count", "sum_1h": "sum",
-         "mean_1h": "mean", "max_1h": "max"}, "1h")
-
-
-def q_funnel_events(sf_dir: str):
-    # funnel progression (events.funnel): per user, earliest click, then
-    # earliest view strictly after it, then earliest purchase after that
-    # — the classic conversion analysis.  ONE bucketed shuffle by user;
-    # each per-key reduction is a filtered min (order/parallelism
-    # independent); timestamps exact to the microsecond vs the chained
-    # filtered-min CTE oracle.
-    from pdf_extract_ray.stages.events import funnel
-
-    ds = _t(sf_dir, "events", columns=["user_id", "ts", "event_type"])
-    return funnel(ds, ["click", "view", "purchase"])
-
-
-def q_cohort_retention_events(sf_dir: str):
-    # cohort retention (events.cohort_retention): users bucketed by
-    # first-seen week (7-day periods anchored at 1970-01-01), counted
-    # per (cohort, period_offset).  The shuffle ships per-batch-deduped
-    # (user, period) pairs; the final aggregate is a tiny groupby.
-    from pdf_extract_ray.stages.events import cohort_retention
-
-    ds = _t(sf_dir, "events", columns=["user_id", "ts"])
-    return cohort_retention(ds, period_days=7)
-
-
-def q_mode_event_type_user(sf_dir: str):
-    # deterministic grouped mode (agg.grouped_mode): each user's
-    # dominant event type (ties -> smallest value).  Distinct-count
-    # pre-aggregate shrinks the shuffle to (user, type, n) rows, then
-    # the map-side-pre-trimmed grouped top-1.
-    from pdf_extract_ray.stages.agg import grouped_mode
-
-    ds = _t(sf_dir, "events", columns=["user_id", "event_type"])
-    return grouped_mode(ds, ["user_id"], "event_type")
-
-
 def q_global_rank_docs(sf_dir: str):
     # distributed row_number() OVER (ORDER BY n_chars, doc_id)
     # (agg.global_rank): three narrow passes — per-batch min/max
@@ -576,31 +276,6 @@ def q_global_rank_docs(sf_dir: str):
     return global_rank(ds, ["n_chars", "doc_id"])
 
 
-def q_ntile_events(sf_dir: str):
-    # distributed NTILE(4) OVER (ORDER BY value, event_id)
-    # (agg.ntile): equi-depth quartile binning — global_rank's three
-    # bounded passes + a closed-form tile map, no extra shuffle.  The
-    # standard score-calibration / equal-sized-split primitive.
-    from pdf_extract_ray.stages.agg import ntile
-
-    ds = _t(sf_dir, "events", columns=["event_id", "value"])
-    ds = ds.map_batches(lambda b: b[b["value"].notna()],
-                        batch_format="pandas")
-    return ntile(ds, ["value", "event_id"], 4, out_col="tile")
-
-
-def q_rate_limited_events(sf_dir: str):
-    # per-(user, hour) rate limiting (windows.rate_limit): keep only
-    # the FIRST 3 events per user per hour in event-time order — the
-    # crawler-politeness / throttle primitive.  Narrow window-floor map
-    # + grouped_top_k ascending with map-side pre-trim: a (user, hour)
-    # with a thousand events ships 3 x #blocks rows, not a thousand.
-    from pdf_extract_ray.stages.windows import rate_limit
-
-    ds = _t(sf_dir, "events", columns=["event_id", "user_id", "ts"])
-    return rate_limit(ds, "user_id", "ts", 3, tie_col="event_id")
-
-
 def q_pmi_terms_lang(sf_dir: str):
     # distinctive terms per language by PMI (relevance.pmi_terms): the
     # corpus-mix debugging report.  (lang, word, n) partials shuffle
@@ -611,82 +286,6 @@ def q_pmi_terms_lang(sf_dir: str):
 
     ds = _t(sf_dir, "documents", columns=["lang", "text"])
     return pmi_terms(ds, "lang", min_count=5, top_k=20)
-
-
-def q_melt_lineitem_metrics(sf_dir: str):
-    # wide -> long unpivot (olap.unpivot, the inverse of pivot_wide):
-    # one row per (line, metric), zero shuffle, streams.
-    from pdf_extract_ray.stages.olap import unpivot
-
-    ds = _t(sf_dir, "lineitem",
-            columns=["l_orderkey", "l_linenumber", "l_quantity",
-                     "l_extendedprice", "l_discount", "l_tax"])
-    return unpivot(ds, ["l_orderkey", "l_linenumber"],
-                   ["l_quantity", "l_extendedprice", "l_discount",
-                    "l_tax"], var_col="metric", value_col="value")
-
-
-def q_funnel_latency_events(sf_dir: str):
-    # conversion-latency report: PURE COMPOSITION of events.funnel and
-    # a narrow microsecond-difference map — per fully-converted user,
-    # integer-exact click->view and click->purchase latencies.
-    from pdf_extract_ray.stages.events import funnel
-
-    ds = _t(sf_dir, "events", columns=["user_id", "ts", "event_type"])
-    fun = funnel(ds, ["click", "view", "purchase"])
-
-    def latency(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.loc[b["steps_completed"] == 3]
-        return pd.DataFrame({
-            "user_id": b["user_id"].to_numpy(),
-            "us_to_view": (b["t2"] - b["t1"]).to_numpy().astype(
-                "timedelta64[us]").astype(np.int64),
-            "us_to_purchase": (b["t3"] - b["t1"]).to_numpy().astype(
-                "timedelta64[us]").astype(np.int64),
-        })
-
-    return fun.map_batches(latency, batch_format="pandas")
-
-
-def q_event_time_profile(sf_dir: str):
-    # activity heatmap input: counts by (day-of-week, hour) — a narrow
-    # derive (integer day/hour arithmetic, DuckDB dow convention:
-    # Sunday=0; 1970-01-01 was a Thursday) + one tiny grouped merge.
-    from pdf_extract_ray.stages.agg import grouped_aggregate
-
-    ds = _t(sf_dir, "events", columns=["event_id", "ts"])
-
-    def derive(b: pd.DataFrame) -> pd.DataFrame:
-        t = b["ts"].to_numpy()
-        days = t.astype("datetime64[D]").astype(np.int64)
-        hours = t.astype("datetime64[h]").astype(np.int64)
-        return pd.DataFrame({"dow": (days + 4) % 7, "hour": hours % 24})
-
-    return grouped_aggregate(
-        ds.map_batches(derive, batch_format="pandas"),
-        ["dow", "hour"], {"n": ("dow", "count")})
-
-
-def q_weighted_median_events(sf_dir: str):
-    # exact grouped WEIGHTED lower median (agg.grouped_weighted_median):
-    # per event_type, floor(value) weighted by an arithmetic hit count —
-    # per-batch (key, value) weight partials bound the shuffle by the
-    # distinct-value codomain; integer cumulative-weight rule on both
-    # sides.
-    from pdf_extract_ray.stages.agg import grouped_weighted_median
-
-    ds = _t(sf_dir, "events", columns=["event_type", "user_id", "value"])
-
-    def derive(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "event_type": b["event_type"].to_numpy(),
-            "v": np.floor(b["value"].to_numpy(np.float64))
-            .astype(np.int64),
-            "w": (b["user_id"] % 5 + 1).to_numpy(np.int64)})
-
-    return grouped_weighted_median(
-        ds.map_batches(derive, batch_format="pandas"),
-        ["event_type"], "v", "w")
 
 
 def q_content_type_docs(sf_dir: str):
@@ -740,178 +339,6 @@ def q_rendezvous_hosts(sf_dir: str):
         method="md5")
 
 
-def q_band_join_events_orders(sf_dir: str):
-    # BIG-BIG band (range) join (joins.band_join): all pairs with
-    # |event value − order key residue| <= 2 — band-bucket replication
-    # (right side 3x into neighbor bands), pairs form in the left row's
-    # band exactly once, ONE cogroup.  Both sides pre-deduped to
-    # distinct band values so the result stays linear.
-    from pdf_extract_ray.stages.agg import grouped_aggregate
-    from pdf_extract_ray.stages.joins import band_join
-
-    ev = _t(sf_dir, "events", columns=["event_id", "value"])
-
-    def lderive(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "v": np.floor(b["value"].to_numpy(np.float64))
-            .astype(np.int64),
-            "event_id": b["event_id"].to_numpy(np.int64)})
-
-    left = grouped_aggregate(
-        ev.map_batches(lderive, batch_format="pandas"), ["v"],
-        {"event_id": ("event_id", "min")})
-
-    od = _t(sf_dir, "orders", columns=["o_orderkey"])
-
-    def rderive(b: pd.DataFrame) -> pd.DataFrame:
-        k = b["o_orderkey"].to_numpy(np.int64)
-        return pd.DataFrame({"w": k % 3000, "o_orderkey": k})
-
-    right = grouped_aggregate(
-        od.map_batches(rderive, batch_format="pandas"), ["w"],
-        {"o_orderkey": ("o_orderkey", "min")})
-
-    return band_join(left, right, "v", "w", eps=2,
-                     left_cols=["event_id"], right_cols=["o_orderkey"])
-
-
-def q_window_distinct_users(sf_dir: str):
-    # exact distinct-per-tumbling-window (windows.window_distinct):
-    # unique users per hour — two-level plan (distinct pairs, then
-    # count), since distinct is not an additive rollup.
-    from pdf_extract_ray.stages.windows import window_distinct
-
-    return window_distinct(
-        _t(sf_dir, "events", columns=["ts", "user_id"]),
-        "ts", "user_id", size_us=3_600_000_000)
-
-
-def q_merged_intervals_events(sf_dir: str):
-    # span coalescing (windows.merge_intervals): each event claims a
-    # 10-minute interval; overlapping/touching spans per user merge —
-    # one bucketed key cogroup, vectorized in-bucket merge (sorted
-    # shifted segmented cummax), exact int64 microseconds throughout.
-    from pdf_extract_ray.stages.windows import merge_intervals
-
-    ds = _t(sf_dir, "events", columns=["user_id", "ts"])
-
-    def derive(b: pd.DataFrame) -> pd.DataFrame:
-        us = b["ts"].to_numpy("datetime64[us]").astype(np.int64)
-        return pd.DataFrame({
-            "user_id": b["user_id"].to_numpy(np.int64),
-            "s": us, "e": us + 600_000_000})
-
-    return merge_intervals(ds.map_batches(derive, batch_format="pandas"),
-                           ["user_id"], "s", "e")
-
-
-def q_cumulative_users_events(sf_dir: str):
-    # audience growth (events.cumulative_users): first-event day per
-    # user (grouped min) -> new users per day -> exact running total on
-    # the bounded day table.
-    from pdf_extract_ray.stages.events import cumulative_users
-
-    return cumulative_users(_t(sf_dir, "events",
-                               columns=["user_id", "ts"]),
-                            "user_id", "ts")
-
-
-def q_event_entropy_by_user(sf_dir: str):
-    # per-cohort event-type Shannon-entropy terms
-    # (experiment.grouped_entropy_terms): the distribution-diversity /
-    # bot cue — one grouped count + one regroup of the bounded count
-    # rows; each term a single round-6 frozen ln expression (the PSI
-    # "sum left to the reader" convention).
-    from pdf_extract_ray.stages.experiment import grouped_entropy_terms
-
-    ds = _t(sf_dir, "events", columns=["user_id", "event_type"])
-
-    def derive(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "cohort": (b["user_id"] % 20).to_numpy(np.int64),
-            "event_type": b["event_type"].to_numpy()})
-
-    return grouped_entropy_terms(
-        ds.map_batches(derive, batch_format="pandas"),
-        ["cohort"], "event_type")
-
-
-def q_calibration_bins_events(sf_dir: str):
-    # reliability diagram (experiment.calibration_bins): does
-    # floor(value) predict the user-parity label — integer binning and
-    # integer sums shuffle (exact, order-independent); the two
-    # divisions are the only float ops on either side.
-    from pdf_extract_ray.stages.experiment import calibration_bins
-
-    ds = _t(sf_dir, "events", columns=["user_id", "value"])
-
-    def derive(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "s": np.floor(b["value"].to_numpy(np.float64)).astype(np.int64),
-            "y": (b["user_id"] % 2).to_numpy(np.int64)})
-
-    return calibration_bins(
-        ds.map_batches(derive, batch_format="pandas"),
-        "s", "y", lo=0, hi=500, n_bins=10)
-
-
-def q_k_anonymity_events(sf_dir: str):
-    # k-anonymity audit (pii.k_anonymity_audit): quasi-identifier
-    # combinations (event_type, user_id, day-of-week) shared by fewer
-    # than k rows — the suppress/generalize worklist before releasing a
-    # user-derived corpus.  One grouped count + narrow filter.
-    from pdf_extract_ray.stages.pii import k_anonymity_audit
-
-    ds = _t(sf_dir, "events", columns=["event_type", "user_id", "ts"])
-
-    def derive(b: pd.DataFrame) -> pd.DataFrame:
-        days = b["ts"].to_numpy().astype("datetime64[D]").astype(np.int64)
-        return pd.DataFrame({
-            "event_type": b["event_type"].to_numpy(),
-            "user_id": b["user_id"].to_numpy(np.int64),
-            "dow": (days + 4) % 7})
-
-    return k_anonymity_audit(
-        ds.map_batches(derive, batch_format="pandas"),
-        ["event_type", "user_id", "dow"], k=3)
-
-
-def q_l_diversity_events(sf_dir: str):
-    # l-diversity audit (pii.l_diversity_audit): cohorts keyed
-    # (event_type, dow, hour) whose DISTINCT user set is smaller than l
-    # — the leak-by-homogeneity companion to the k-anonymity gate.  Two
-    # grouped integer aggregates; full SQL oracle.
-    from pdf_extract_ray.stages.pii import l_diversity_audit
-
-    ds = _t(sf_dir, "events", columns=["event_type", "user_id", "ts"])
-
-    def derive(b: pd.DataFrame) -> pd.DataFrame:
-        t = b["ts"].to_numpy(dtype="datetime64[us]")
-        days = t.astype("datetime64[D]")
-        hours = (t - days).astype("timedelta64[h]").astype(np.int64)
-        return pd.DataFrame({
-            "event_type": b["event_type"].to_numpy(),
-            "user_id": b["user_id"].to_numpy(np.int64),
-            "dow": (days.astype(np.int64) + 4) % 7,
-            "hour": hours})
-
-    return l_diversity_audit(
-        ds.map_batches(derive, batch_format="pandas"),
-        ["event_type", "dow", "hour"], "user_id", l=5)
-
-
-def _l_diversity_oracle() -> str:
-    from pdf_extract_ray.stages.pii import l_diversity_audit_oracle_sql
-
-    derive = (
-        "SELECT event_type, user_id, "
-        "(CAST(floor(epoch(ts) / 86400) AS BIGINT) + 4) % 7 AS dow, "
-        "CAST(floor((epoch(ts) % 86400) / 3600) AS BIGINT) AS hour "
-        "FROM events")
-    return l_diversity_audit_oracle_sql(
-        derive, ["event_type", "dow", "hour"], "user_id", l=5)
-
-
 def q_winsorize_docs(sf_dir: str):
     # exact-percentile winsorization (outliers.winsorize_values):
     # n_chars clipped to the corpus [5, 95] percentile band — keeps the
@@ -942,40 +369,6 @@ def q_minmax_scale_docs(sf_dir: str):
     return grouped_minmax_scale(ds, ["lang"], "n_chars")
 
 
-def q_event_hhi_by_user(sf_dir: str):
-    # Herfindahl concentration per user over event types
-    # (agg.grouped_hhi): 1.0 = single-type users, 1/k = even usage —
-    # the concentration twin of the Gini report.  Map-side integer
-    # partials, ONE grouped merge, per-group finish over the bounded
-    # count table; round 6 absorbs share-square sum order.
-    from pdf_extract_ray.stages.agg import grouped_hhi
-
-    ds = _t(sf_dir, "events", columns=["user_id", "event_type"])
-    return grouped_hhi(ds, ["user_id"], "event_type")
-
-
-def q_event_cooccurrence(sf_dir: str):
-    # market-basket co-occurrence + lift (events.item_cooccurrence):
-    # which event types attract within a user — distinct (user, type)
-    # set from ONE grouped merge, per-user pairs in ONE bucketed
-    # cogroup (quadratic per key, bounded by the category count),
-    # integer counts, one rounded division.  Full SQL oracle.
-    from pdf_extract_ray.stages.events import item_cooccurrence
-
-    ds = _t(sf_dir, "events", columns=["user_id", "event_type"])
-    return item_cooccurrence(ds, "user_id", "event_type")
-
-
-def q_user_gini_events(sf_dir: str):
-    # corpus-concentration Gini (profile.count_gini) over events per
-    # user — exact integer rank formula on the bounded per-user count
-    # table, ONE division.
-    from pdf_extract_ray.stages.profile import count_gini
-
-    return count_gini(_t(sf_dir, "events", columns=["user_id"]),
-                      ["user_id"])
-
-
 def q_weighted_sample_docs(sf_dir: str):
     # weighted sampling without replacement (agg.weighted_sample, A-ES
     # keys u^(1/w) from a seedless md5 uniform): longer docs
@@ -987,97 +380,6 @@ def q_weighted_sample_docs(sf_dir: str):
 
     ds = _t(sf_dir, "documents", columns=["doc_id", "lang", "n_chars"])
     return weighted_sample(ds, "doc_id", "n_chars", 50, method="md5")
-
-
-def q_dense_windows_events(sf_dir: str):
-    # gap filling / resample (windows.fill_window_gaps): daily counts of
-    # rare high-value (>300) events per type, densified so every (type, day)
-    # between the type's first and last active day exists with n=0 —
-    # the step between a windowed aggregate and anything assuming
-    # contiguous series.  Dense ranges generated vectorized per bucket.
-    from pdf_extract_ray.stages.agg import grouped_aggregate
-    from pdf_extract_ray.stages.windows import fill_window_gaps
-
-    ds = _t(sf_dir, "events", columns=["event_type", "ts", "value"])
-
-    def day_windows(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.loc[b["value"].to_numpy() > 300.0]
-        return pd.DataFrame({
-            "event_type": b["event_type"].to_numpy(),
-            "win": b["ts"].to_numpy().astype("datetime64[D]").astype(
-                "datetime64[us]"),
-        })
-
-    daily = grouped_aggregate(
-        ds.map_batches(day_windows, batch_format="pandas"),
-        ["event_type", "win"], {"n": ("win", "count")})
-    return fill_window_gaps(daily, ["event_type"], "win", "1D",
-                            {"n": 0})
-
-
-def q_event_transitions(sf_dir: str):
-    # Markov transition counts (PURE COMPOSITION: grouped LAG + tiny
-    # grouped merge): how often event type A is followed by B within a
-    # user's timeline — the session-model / bot-detection input.
-    from pdf_extract_ray.stages.agg import grouped_aggregate
-    from pdf_extract_ray.stages.windows import grouped_lag
-
-    ds = _t(sf_dir, "events",
-            columns=["event_id", "user_id", "event_type", "ts"])
-    lagged = grouped_lag(ds, ["user_id"], ["ts", "event_id"],
-                         "event_type", out_col="prev_type")
-
-    def keep(b: pd.DataFrame) -> pd.DataFrame:
-        return b.loc[b["prev_type"].notna(), ["prev_type", "event_type"]]
-
-    return grouped_aggregate(
-        lagged.map_batches(keep, batch_format="pandas"),
-        ["prev_type", "event_type"], {"n": ("event_type", "count")})
-
-
-def q_linreg_value_trend(sf_dir: str):
-    # per-group OLS trend (agg.grouped_linreg): slope/intercept of
-    # (floored) event value over day index, per event type — the
-    # "is this signal drifting" detector.  One narrow moment-partial
-    # pass + ONE tiny bucketed merge; integer-valued x/y keep every sum
-    # exact, so slope/intercept are bit-identical to the moment-formula
-    # SQL mirror.
-    from pdf_extract_ray.stages.agg import grouped_linreg
-
-    ds = _t(sf_dir, "events", columns=["event_type", "ts", "value"])
-
-    def derive(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "event_type": b["event_type"].to_numpy(),
-            "day": b["ts"].to_numpy().astype("datetime64[D]").astype(
-                np.int64).astype(np.float64),
-            "v": np.floor(b["value"].to_numpy()),
-        })
-
-    return grouped_linreg(
-        ds.map_batches(derive, batch_format="pandas"),
-        ["event_type"], "day", "v")
-
-
-def q_bloom_join_orders(sf_dir: str):
-    # Bloom-prefiltered big-big join (joins.bloom_filtered_join): only
-    # ~1/37 of customers form the cohort, so the Bloom probe drops most
-    # order rows BEFORE the join shuffle; false positives are dropped by
-    # the join itself, so the result equals the plain inner join.
-    from pdf_extract_ray.stages.joins import bloom_filtered_join
-
-    orders = _t(sf_dir, "orders",
-                columns=["o_orderkey", "o_custkey", "o_totalprice"])
-    cust = _t(sf_dir, "customer", columns=["c_custkey", "c_name"])
-
-    def cohort(b: pd.DataFrame) -> pd.DataFrame:
-        return b.loc[b["c_custkey"] % 37 == 0]
-
-    joined = bloom_filtered_join(
-        orders, cust.map_batches(cohort, batch_format="pandas"),
-        on="o_custkey", right_on="c_custkey")
-    return joined.select_columns(
-        ["o_orderkey", "o_custkey", "o_totalprice", "c_name"])
 
 
 def q_pair_edit_distance(sf_dir: str):
@@ -1120,17 +422,6 @@ def q_quantized_embeddings(sf_dir: str):
                           batch_format="pandas")
 
 
-def q_value_histogram_events(sf_dir: str):
-    # fixed-width histogram of event values (agg.value_histogram):
-    # per-batch bincount partials (<= nbins rows per batch), one tiny
-    # grouped merge; bin rule is the identical IEEE double expression
-    # in both engines, so parity is exact.  [0, 500) x 50 bins.
-    from pdf_extract_ray.stages.agg import value_histogram
-
-    ds = _t(sf_dir, "events", columns=["value"])
-    return value_histogram(ds, "value", 0.0, 500.0, 50)
-
-
 def q_embedding_covariance(sf_dir: str):
     # distributed PCA moments (stages/pca.embedding_covariance): the
     # ONE full pass over the vectors — bounded (D^2+D+1)-float partials
@@ -1153,77 +444,6 @@ def q_casing_stats_docs(sf_dir: str):
 
     ds = _t(sf_dir, "documents", columns=["doc_id", "text"])
     return ds.map_batches(casing_stats_batch, batch_format="pandas")
-
-
-def q_grouped_median_lineitem(sf_dir: str):
-    # exact per-group discrete quantile (agg.grouped_quantile_disc):
-    # lower-median quantity per returnflag — distinct-count partials
-    # shuffle, raw rows never move; frozen ceil(q*n) rule == DuckDB
-    # quantile_disc.
-    from pdf_extract_ray.stages.agg import grouped_quantile_disc
-
-    ds = _t(sf_dir, "lineitem", columns=["l_returnflag", "l_quantity"])
-    return grouped_quantile_disc(
-        ds, ["l_returnflag"], "l_quantity", 0.5,
-        out_col="median_qty")
-
-
-def q_rollup_pricing(sf_dir: str):
-    # GROUP BY ROLLUP (olap.rollup_aggregate): per-(flag,status),
-    # per-flag and grand-total quantity totals from ONE scan — finest
-    # map-side partials shuffle once, coarser levels re-aggregate the
-    # tiny finest result; rolled slots are typed Arrow nulls.
-    from pdf_extract_ray.stages.olap import rollup_aggregate
-
-    ds = _t(sf_dir, "lineitem",
-            columns=["l_returnflag", "l_linestatus", "l_quantity"])
-    return rollup_aggregate(
-        ds, ["l_returnflag", "l_linestatus"],
-        {"sum_qty": ("l_quantity", "sum"), "n": ("l_quantity", "count")})
-
-
-def q_cube_order_status(sf_dir: str):
-    # GROUP BY CUBE (olap.cube_aggregate): all 4 subsets of
-    # (status, priority) from one scan — same derive-from-finest plan
-    # as rollup, so the cube costs one shuffle of partials.
-    from pdf_extract_ray.stages.olap import cube_aggregate
-
-    ds = _t(sf_dir, "orders",
-            columns=["o_orderstatus", "o_orderpriority", "o_totalprice"])
-    return cube_aggregate(
-        ds, ["o_orderstatus", "o_orderpriority"],
-        {"n": ("o_totalprice", "count"),
-         "max_price": ("o_totalprice", "max")})
-
-
-def q_pivot_event_counts(sf_dir: str):
-    # pivot-to-wide (olap.pivot_wide): per-user event-type counts as
-    # fixed columns — map-side conditional partials mean the shuffle
-    # ships one narrow row per (user, batch), never raw events; the
-    # category vocabulary is an explicit argument (no discovery scan).
-    from pdf_extract_ray.stages.olap import pivot_wide
-
-    ds = _t(sf_dir, "events", columns=["user_id", "event_type"])
-    return pivot_wide(ds, ["user_id"], "event_type",
-                      _EVENT_TYPES, op="count", prefix="n_")
-
-
-def q_ranked_orders(sf_dir: str):
-    # per-group window ranking (olap.grouped_rank): row_number + 4-tile
-    # per customer by price — ONE bucketed cogroup (whole customers
-    # co-locate), vectorized in-bucket sort; deterministic via the
-    # (price desc, orderkey) total order.  Full SQL window oracle.
-    from pdf_extract_ray.stages.olap import grouped_rank
-
-    ds = _t(sf_dir, "orders",
-            columns=["o_orderkey", "o_custkey", "o_totalprice"])
-    return grouped_rank(ds, ["o_custkey"], "o_totalprice",
-                        descending=True, tie_col="o_orderkey",
-                        out_col="price_rank", method="row_number",
-                        ntile=4, ntile_col="price_quartile")
-
-
-_EVENT_TYPES = ("click", "error", "purchase", "signup", "view")
 
 
 def q_sanitize_controls_docs(sf_dir: str):
@@ -1825,7 +1045,6 @@ def q_extract_sentences(sf_dir: str):
     return extract_sentences(_pages_ds(sf_dir))
 
 
-
 # ---------------------------------------------------------------------------
 # queries — alignment (T2, J1-J8), layout, multimodal (rows-only checks;
 # semantics frozen by pytest: tests/test_align.py, test_layout_multimodal.py)
@@ -1944,97 +1163,6 @@ def q_distinct_langs(sf_dir: str):
     return pd.DataFrame({"lang": vals})
 
 
-def q_sessionized_events(sf_dir: str):
-    # session windows over the event log (gap > 30 min starts a new session)
-    from pdf_extract_ray.stages.windows import sessionize
-
-    ds = _t(sf_dir, "events", columns=["user_id", "ts", "value"])
-    return sessionize(ds)
-
-
-def q_customer_nation_broadcast(sf_dir: str):
-    # broadcast join: the tiny nation/region dimensions are ray.put once and
-    # looked up per batch — no shuffle (guide: "small side -> broadcast")
-    import pyarrow.parquet as pq
-
-    import ray
-
-    from pdf_extract_ray.stages.joins import broadcast_hash_join
-
-    nation = pq.read_table(f"{sf_dir}/nation.parquet").to_pandas()
-    region = pq.read_table(f"{sf_dir}/region.parquet").to_pandas()
-    dim = nation.merge(region, left_on="n_regionkey", right_on="r_regionkey")
-
-    cust = _t(sf_dir, "customer", columns=["c_custkey", "c_nationkey", "c_acctbal"])
-    joined = broadcast_hash_join(
-        cust, dim, on="c_nationkey", right_on="n_nationkey",
-        payload_cols=["n_name", "r_name"], how="left")
-
-    def fmt(b: pd.DataFrame) -> pd.DataFrame:
-        b["c_acctbal"] = round_half_away(b["c_acctbal"], 2)
-        return b
-
-    return joined.map_batches(fmt, batch_format="pandas")
-
-
-def q_top_customers(sf_dir: str):
-    # chained: groupby-agg -> join -> sort -> limit (O3 + J6 + A-family)
-    from pdf_extract_ray.stages.agg import grouped_aggregate
-
-    orders = _t(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
-    spend = grouped_aggregate(
-        orders, ["o_custkey"], {"total_spend": ("o_totalprice", "sum")}
-    )
-    cust = _t(sf_dir, "customer", columns=["c_custkey", "c_name"])
-    joined = spend.join(
-        cust, join_type="inner", num_partitions=8,
-        on=("o_custkey",), right_on=("c_custkey",),
-    )
-
-    def finish(b: pd.DataFrame) -> pd.DataFrame:
-        # the join drops the duplicate right key, keeping the left name
-        b = b.rename(columns={"o_custkey": "c_custkey"})
-        b["total_spend"] = round_half_away(b["total_spend"], 2)
-        return b[["c_custkey", "c_name", "total_spend"]]
-
-    return joined.map_batches(finish, batch_format="pandas").sort(
-        ["total_spend", "c_custkey"], descending=[True, False]
-    ).limit(25)
-
-
-def q_revenue_by_nation(sf_dir: str):
-    # 3-way join + aggregate: lineitem -> orders -> customer -> nation
-    from pdf_extract_ray.stages.agg import grouped_aggregate
-
-    li = _t(sf_dir, "lineitem",
-            columns=["l_orderkey", "l_extendedprice", "l_discount"])
-
-    def rev(b: pd.DataFrame) -> pd.DataFrame:
-        b["revenue"] = b["l_extendedprice"] * (1 - b["l_discount"])
-        return b[["l_orderkey", "revenue"]]
-
-    per_order = grouped_aggregate(
-        li.map_batches(rev, batch_format="pandas"),
-        ["l_orderkey"], {"revenue": ("revenue", "sum")},
-    )
-    orders = _t(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
-    cust = _t(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
-    j = per_order.join(
-        orders, join_type="inner", num_partitions=8,
-        on=("l_orderkey",), right_on=("o_orderkey",),
-    ).join(
-        cust, join_type="inner", num_partitions=8,
-        on=("o_custkey",), right_on=("c_custkey",),
-    )
-    out = grouped_aggregate(j, ["c_nationkey"], {"revenue": ("revenue", "sum")})
-
-    def finish(b: pd.DataFrame) -> pd.DataFrame:
-        b["revenue"] = round_half_away(b["revenue"], 2)
-        return b
-
-    return out.map_batches(finish, batch_format="pandas")
-
-
 def q_ngram_jaccard_dup(sf_dir: str):
     # EXACT word-3-gram set Jaccard near-dup — the non-sketch baseline the
     # minhash estimator targets; tokenization is SQL-mirrorable, so the
@@ -2143,20 +1271,6 @@ def q_host_mirror_docs(sf_dir: str):
     return host_mirror_pairs(
         ds.map_batches(derive, batch_format="pandas"), "host", "text",
         jaccard_threshold=0.8)
-
-
-def q_analyze_orders(sf_dir: str):
-    # ANALYZE column profile (contract.analyze_columns): exact per-
-    # column rows/nulls/distinct — one narrow pass with per-batch
-    # pre-dedup, shuffle bounded by distinct values per column.
-    from pdf_extract_ray.stages.contract import analyze_columns
-
-    ds = _t(sf_dir, "orders",
-            columns=["o_orderstatus", "o_orderpriority", "o_custkey",
-                     "o_totalprice"])
-    return analyze_columns(
-        ds, ["o_custkey", "o_orderpriority", "o_orderstatus",
-             "o_totalprice"])
 
 
 def q_rrf_fusion_docs(sf_dir: str):
@@ -2366,29 +1480,6 @@ def q_semi_join_docs(sf_dir: str):
         ds.map_batches(ref, batch_format="pandas"), "key")
 
 
-def q_impute_median_events(sf_dir: str):
-    # group-median NULL imputation (agg.impute_by_group_median):
-    # per-event-type median fills a derived sometimes-NULL value —
-    # one exact quantile pass + broadcast fill, bodies never shuffle.
-    # Floored-int values keep quantile_disc parity exact.
-    from pdf_extract_ray.stages.agg import impute_by_group_median
-
-    ds = _t(sf_dir, "events", columns=["event_id", "event_type", "value"])
-
-    def derive(b: pd.DataFrame) -> pd.DataFrame:
-        v = np.floor(b["value"].to_numpy(np.float64))
-        v = np.where(b["event_id"].to_numpy() % 5 == 0, np.nan, v)
-        return pd.DataFrame({
-            "event_id": b["event_id"].to_numpy(),
-            "event_type": b["event_type"].to_numpy(),
-            "v": v,
-        })
-
-    return impute_by_group_median(
-        ds.map_batches(derive, batch_format="pandas"),
-        ["event_type"], "v")
-
-
 def q_pct_rank_docs_by_lang(sf_dir: str):
     # per-group percentile calibration (agg.grouped_percent_rank):
     # every document's length percentile WITHIN its own language —
@@ -2410,90 +1501,6 @@ def q_vocab_filter_docs(sf_dir: str):
 
     ds = _t(sf_dir, "documents", columns=["doc_id", "text"])
     return vocab_filter(ds, top_k=12)
-
-
-def q_rising_event_types(sf_dir: str):
-    # window-over-window trend: per (hour, type) counts -> grouped LAG
-    # over hours within each type -> integer delta + guarded ratio.
-    # The "what is spiking right now" report; counts shuffle once into
-    # the rollup, then only (type, hour, n) rows move through the lag.
-    from pdf_extract_ray.stages.agg import grouped_aggregate
-    from pdf_extract_ray.stages.windows import grouped_lag
-
-    ds = _t(sf_dir, "events", columns=["ts", "event_type"])
-
-    def add_window(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "hour": b["ts"].dt.floor("h").to_numpy(),
-            "event_type": b["event_type"].to_numpy(),
-        })
-
-    counts = grouped_aggregate(
-        ds.map_batches(add_window, batch_format="pandas"),
-        ["hour", "event_type"], {"n": ("event_type", "count")})
-    lagged = grouped_lag(counts, ["event_type"], ["hour"], "n",
-                         out_col="prev_n")
-
-    def finish(b: pd.DataFrame) -> pd.DataFrame:
-        n = b["n"].to_numpy(np.float64)
-        p = b["prev_n"].to_numpy(np.float64)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratio = np.where(p > 0, n / p, np.nan)
-        out = b.copy()
-        # float64 (NaN for the first window) — the dtype DuckDB's
-        # nullable BIGINT lands on via .df(), so the compare is direct
-        out["delta"] = n - p
-        out["ratio"] = ratio
-        return out
-
-    return lagged.map_batches(finish, batch_format="pandas")
-
-
-def q_burstiness_events(sf_dir: str):
-    # burstiness (Fano factor = var/mean of per-window counts) per
-    # user: the retry-storm / crawler-trap cue — a Poisson-ish steady
-    # stream has Fano ~1, a bursty one >> 1.  Two tiny grouped
-    # aggregates over (user, hour) count rows; the final number is
-    # (n*ssq - s*s)/(n*s) — exact int64 moments, ONE IEEE division,
-    # bit-identical to the SQL mirror.
-    from pdf_extract_ray.stages.agg import grouped_aggregate
-
-    ds = _t(sf_dir, "events", columns=["ts", "user_id"])
-
-    def add_window(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "hour": b["ts"].dt.floor("h").to_numpy(),
-            "user_id": b["user_id"].to_numpy(),
-        })
-
-    counts = grouped_aggregate(
-        ds.map_batches(add_window, batch_format="pandas"),
-        ["hour", "user_id"], {"c": ("user_id", "count")})
-
-    def moments(b: pd.DataFrame) -> pd.DataFrame:
-        c = b["c"].to_numpy(np.int64)
-        return pd.DataFrame({
-            "user_id": b["user_id"].to_numpy(),
-            "n": np.ones(len(b), np.int64),
-            "s": c, "ssq": c * c,
-        })
-
-    agg = grouped_aggregate(
-        counts.map_batches(moments, batch_format="pandas"), ["user_id"],
-        {"n": ("n", "sum"), "s": ("s", "sum"), "ssq": ("ssq", "sum")})
-
-    def finish(b: pd.DataFrame) -> pd.DataFrame:
-        n = b["n"].to_numpy(np.int64)
-        s = b["s"].to_numpy(np.int64)
-        ssq = b["ssq"].to_numpy(np.int64)
-        fano = (n * ssq - s * s).astype(np.float64) \
-            / (n * s).astype(np.float64)
-        return pd.DataFrame({
-            "user_id": b["user_id"].to_numpy(),
-            "n_windows": n, "n_events": s, "fano": fano,
-        })
-
-    return agg.map_batches(finish, batch_format="pandas")
 
 
 def q_word_overlap_pairs(sf_dir: str):
@@ -2523,54 +1530,6 @@ def q_word_overlap_pairs(sf_dir: str):
     return refine_pairs_word_overlap(
         ds.map_batches(derive_pairs, batch_format="pandas"),
         ds.map_batches(derive_docs, batch_format="pandas"))
-
-
-def q_distinct_users_exact(sf_dir: str):
-    # exact grouped COUNT(DISTINCT) (agg.grouped_count_distinct): the
-    # exact twin of the HLL sketch — map-side pair dedup shrinks the
-    # shuffle to the per-group distinct codomain.
-    from pdf_extract_ray.stages.agg import grouped_count_distinct
-
-    ds = _t(sf_dir, "events", columns=["event_type", "user_id"])
-    return grouped_count_distinct(ds, ["event_type"], "user_id")
-
-
-def q_interarrival_stats_events(sf_dir: str):
-    # inter-arrival time statistics per user — pure composition:
-    # grouped LAG (one bucketed shuffle) -> integer-exact microsecond
-    # deltas -> grouped aggregate with map-side partials.  The event-
-    # pipeline heartbeat/health report.
-    from pdf_extract_ray.stages.agg import grouped_aggregate
-    from pdf_extract_ray.stages.windows import grouped_lag
-
-    ds = _t(sf_dir, "events", columns=["user_id", "event_id", "ts"])
-    lagged = grouped_lag(ds, ["user_id"], ["ts", "event_id"], "ts",
-                         out_col="prev_ts")
-
-    def delta(b: pd.DataFrame) -> pd.DataFrame:
-        gap = (b["ts"].astype("datetime64[us]")
-               - b["prev_ts"].astype("datetime64[us]")).dt.total_seconds()
-        us = (gap * 1_000_000).round()
-        return pd.DataFrame({"user_id": b["user_id"].to_numpy(),
-                             "gap_us": us}).dropna(subset=["gap_us"])
-
-    gaps = lagged.map_batches(delta, batch_format="pandas")
-
-    def to_int(b: pd.DataFrame) -> pd.DataFrame:
-        return b.assign(gap_us=b["gap_us"].astype("int64"))
-
-    out = grouped_aggregate(
-        gaps.map_batches(to_int, batch_format="pandas"), ["user_id"],
-        {"n_gaps": ("gap_us", "count"), "min_gap_us": ("gap_us", "min"),
-         "max_gap_us": ("gap_us", "max"), "sum_gap_us": ("gap_us", "sum")})
-
-    def finish(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["mean_gap_us"] = b["sum_gap_us"].to_numpy(np.float64) \
-            / b["n_gaps"].to_numpy(np.float64)
-        return b.drop(columns=["sum_gap_us"])
-
-    return out.map_batches(finish, batch_format="pandas")
 
 
 def q_neighbor_jw_docs(sf_dir: str):
@@ -2610,27 +1569,6 @@ def q_length_hist_by_lang(sf_dir: str):
 
     ds = _t(sf_dir, "documents", columns=["lang", "n_chars"])
     return grouped_value_histogram(ds, ["lang"], "n_chars", 0.0, 600.0, 12)
-
-
-def q_mad_outlier_events(sf_dir: str):
-    # robust per-group outlier flag (agg.grouped_mad_outliers): median
-    # + MAD instead of mean + stddev, so one viral value cannot mask
-    # the rest; two exact grouped_quantile_disc passes (distinct-count
-    # partials shuffle, bodies never move) + broadcast lookups.
-    # Floored-int values keep every intermediate exact -> bit parity.
-    from pdf_extract_ray.stages.agg import grouped_mad_outliers
-
-    ds = _t(sf_dir, "events", columns=["event_type", "value"])
-
-    def derive(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "event_type": b["event_type"].to_numpy(),
-            "v": np.floor(b["value"].to_numpy(np.float64)),
-        })
-
-    return grouped_mad_outliers(
-        ds.map_batches(derive, batch_format="pandas"),
-        ["event_type"], "v", k=3.0)
 
 
 def q_embedding_centroids(sf_dir: str):
@@ -2788,19 +1726,6 @@ def _heaps_fit_oracle() -> str:
     return heaps_fit_oracle_sql()
 
 
-def q_grouped_distinct_users(sf_dir: str):
-    # grouped HLL approx distinct (sketch.grouped_approx_distinct):
-    # distinct users per event type with only 4 KiB register sketches
-    # per (batch, group) moving — the crawl-scale COUNT(DISTINCT)
-    # rollup.  Register max-merge is associative + deterministic, so
-    # the committed single-process golden matches EXACTLY; accuracy vs
-    # the exact count is a pytest property.
-    from pdf_extract_ray.stages.sketch import grouped_approx_distinct
-
-    ds = _t(sf_dir, "events", columns=["event_type", "user_id"])
-    return grouped_approx_distinct(ds, ["event_type"], "user_id")
-
-
 def q_markdown_docs(sf_dir: str):
     # HTML -> Markdown conversion (stages/markdown.py): the structure-
     # preserving sibling of the flat-text extraction path — headings,
@@ -2837,28 +1762,6 @@ def q_typo_norm_docs(sf_dir: str):
         normalize_typography_batch, batch_format="pandas")
 
 
-def q_trending_events(sf_dir: str):
-    # trending items per window — pure composition: tumbling-hour x
-    # event_type counts (grouped_aggregate with map-side partials)
-    # feeding grouped_top_k's pre-trimmed per-window top-2 by
-    # (count DESC, event_type) — the hourly-leaderboard shape.
-    from pdf_extract_ray.stages.agg import grouped_aggregate, grouped_top_k
-
-    ds = _t(sf_dir, "events", columns=["ts", "event_type"])
-
-    def add_window(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "hour": b["ts"].dt.floor("h").to_numpy(),
-            "event_type": b["event_type"].to_numpy(),
-        })
-
-    counts = grouped_aggregate(
-        ds.map_batches(add_window, batch_format="pandas"),
-        ["hour", "event_type"], {"n": ("event_type", "count")})
-    return grouped_top_k(counts, ["hour"], "n", 2,
-                         tie_col="event_type")
-
-
 def q_url_path_rollup(sf_dir: str):
     # site-structure report (links.url_path_rollup): pages per (host,
     # path-prefix) at depths 1..2 — map-side value_counts partials,
@@ -2891,23 +1794,6 @@ def q_balanced_shards_docs(sf_dir: str):
 
     ds = _t(sf_dir, "documents", columns=["doc_id", "n_chars"])
     return serpentine_assign(ds, "n_chars", 8, tie_cols=["doc_id"])
-
-
-def q_salted_join_lineitem(sf_dir: str):
-    # hot-key salted equi-join (joins.skew_salted_join): every supplier
-    # key with >= 500 lineitem rows (all of them at this sf — rows/key
-    # ~600) scatters across 4 salted sub-keys before the join shuffle,
-    # the replicated right rows follow, and the result equals the plain
-    # inner join EXACTLY — the skew treatment the north rule's
-    # "salting skewed hosts" names, as a reusable operator.
-    from pdf_extract_ray.stages.joins import skew_salted_join
-
-    li = _t(sf_dir, "lineitem",
-            columns=["l_orderkey", "l_suppkey", "l_quantity"])
-    sup = _t(sf_dir, "supplier", columns=["s_suppkey", "s_name"])
-    return skew_salted_join(
-        li, sup, on="l_suppkey", right_on="s_suppkey",
-        salt_col="l_orderkey", salts=4, hot_threshold=500)
 
 
 def q_prefix_jaccard_dup(sf_dir: str):
@@ -2952,58 +1838,6 @@ def q_sorted_neighbors_docs(sf_dir: str):
 
     ds = _t(sf_dir, "documents", columns=["doc_id", "n_chars"])
     return sorted_neighborhood_pairs(ds, ["n_chars", "doc_id"], window=3)
-
-
-def q_nearest_event_order(sf_dir: str):
-    # nearest-direction temporal join with tolerance (joins.asof_join,
-    # direction="nearest"): each event picks the user's CLOSEST order in
-    # time, either side, within 45 days inclusive — equidistant ties
-    # resolve backward (the earlier order), the frozen pandas rule the
-    # SQL oracle mirrors with ORDER BY abs(delta), o_orderdate.
-    from pdf_extract_ray.stages.joins import asof_join
-
-    ev = _t(sf_dir, "events", columns=["event_id", "ts", "user_id"])
-    od = _t(sf_dir, "orders",
-            columns=["o_custkey", "o_orderdate", "o_orderkey", "o_totalprice"])
-    return asof_join(
-        ev, od, on="ts", by="user_id",
-        right_on="o_orderdate", right_by="o_custkey",
-        right_cols=["o_orderkey", "o_totalprice"], tie_break="o_orderkey",
-        direction="nearest", tolerance=pd.Timedelta(days=45))
-
-
-def q_asof_event_order(sf_dir: str):
-    # as-of (temporal) join: each event picks the user's most recent order
-    # at-or-before the event time — ONE key-bucketed shuffle, vectorized
-    # merge_asof per bucket, Arrow-native side tagging (stages/joins.py).
-    # Ties in (custkey, orderdate) resolved deterministically by max
-    # o_orderkey; oracle = DuckDB ASOF LEFT JOIN over the same tie-dedup.
-    from pdf_extract_ray.stages.joins import asof_join
-
-    ev = _t(sf_dir, "events", columns=["event_id", "ts", "user_id"])
-    od = _t(sf_dir, "orders",
-            columns=["o_custkey", "o_orderdate", "o_orderkey", "o_totalprice"])
-    return asof_join(
-        ev, od, on="ts", by="user_id",
-        right_on="o_orderdate", right_by="o_custkey",
-        right_cols=["o_orderkey", "o_totalprice"], tie_break="o_orderkey")
-
-
-def q_orders_price_tier(sf_dir: str):
-    # broadcast range/interval join: a tiny disjoint-[lo,hi) tier table is
-    # ray.put once; each batch binary-searches it — zero shuffle, the fact
-    # side streams (stages/joins.py:broadcast_range_join)
-    from pdf_extract_ray.stages.joins import broadcast_range_join
-
-    tiers = pd.DataFrame({
-        "tier": ["small", "mid", "large", "jumbo"],
-        "lo": [0.0, 50000.0, 150000.0, 300000.0],
-        "hi": [50000.0, 150000.0, 300000.0, 1e12],
-    })
-    ds = _t(sf_dir, "orders", columns=["o_orderkey", "o_totalprice"])
-    return broadcast_range_join(
-        ds, tiers, value_col="o_totalprice", lo_col="lo", hi_col="hi",
-        payload_cols=["tier"], how="inner")
 
 
 def q_winnow_near_dup(sf_dir: str):
@@ -3051,107 +1885,6 @@ def q_extract_doc_counts(sf_dir: str):
     return counts.map_batches(
         lambda b: b.rename(columns={"count()": "n_docs"}), batch_format="pandas"
     )
-
-
-def q_props_extract(sf_dir: str):
-    # JSON payload parse (M10 analogue: structured-response parsing without
-    # an LLM): extract props.k per event, vectorized via pandas json load
-    import json as _json
-
-    ds = _t(sf_dir, "events", columns=["event_id", "props"])
-
-    def f(b: pd.DataFrame) -> pd.DataFrame:
-        b["k_value"] = [
-            int(_json.loads(p)["k"]) if p else None for p in b["props"]
-        ]
-        return b[["event_id", "k_value"]]
-
-    return ds.map_batches(f, batch_format="pandas")
-
-
-def q_top_orders_per_customer(sf_dir: str):
-    # per-group top-k (window-function analogue): 3 largest orders per
-    # customer, vectorized inside coarse buckets
-    from pdf_extract_ray.stages.agg import bucketed_group_apply
-
-    ds = _t(sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_totalprice"])
-
-    def topk(bucket: pd.DataFrame) -> pd.DataFrame:
-        g = bucket.sort_values(
-            ["o_custkey", "o_totalprice", "o_orderkey"],
-            ascending=[True, False, True], kind="mergesort",
-        )
-        out = g.groupby("o_custkey", as_index=False).head(3).copy()
-        out["rk"] = out.groupby("o_custkey").cumcount() + 1
-        return out
-
-    return bucketed_group_apply(ds, ["o_custkey"], topk)
-
-
-def q_event_value_quantiles(sf_dir: str):
-    # exact per-type quantiles (linear interpolation == DuckDB quantile_cont)
-    from pdf_extract_ray.stages.agg import bucketed_group_apply
-
-    ds = _t(sf_dir, "events", columns=["event_type", "value"])
-
-    def q(bucket: pd.DataFrame) -> pd.DataFrame:
-        g = bucket.groupby("event_type")["value"].quantile(
-            [0.5, 0.9, 0.99]).unstack()
-        g.columns = ["p50", "p90", "p99"]
-        g = g.reset_index()
-        for c in ("p50", "p90", "p99"):
-            g[c] = round_half_away(g[c], 4)
-        return g
-
-    return bucketed_group_apply(ds, ["event_type"], q)
-
-
-def q_approx_event_quantiles(sf_dir: str):
-    # sketch-based per-type quantiles — the SCALE path for
-    # event_value_quantiles: the exact variant ships every value of a
-    # key group through the shuffle (skew bottleneck with few hot keys);
-    # this one ships only (key, bin, count) histogram partials.  Merge
-    # is int64 vector addition, so distributed == single-process exactly
-    # — the golden freezes determinism; accuracy vs the exact quantile
-    # is bounded by the bin ratio and asserted in pytest.
-    from pdf_extract_ray.stages.sketch import approx_quantiles
-
-    ds = _t(sf_dir, "events", columns=["event_type", "value"])
-    return approx_quantiles(ds, ["event_type"], "value",
-                            qs=(0.5, 0.9, 0.99))
-
-
-def q_hopping_window_events(sf_dir: str):
-    # sliding/hopping window rollup (1h windows, 30min hop): map-side
-    # window explode (2 copies/event) + partial-aggregated groupby — the
-    # streaming-shaped sibling of windowed_events
-    from pdf_extract_ray.stages.windows import hopping_window
-
-    ds = _t(sf_dir, "events", columns=["user_id", "ts", "value"])
-    return hopping_window(ds)
-
-
-def q_event_value_lag(sf_dir: str):
-    # LAG window function (per-key previous value): one bucketed shuffle
-    # + vectorized sorted shift (stages/windows.grouped_lag)
-    from pdf_extract_ray.stages.windows import grouped_lag
-
-    ds = _t(sf_dir, "events", columns=["event_id", "user_id", "ts", "value"])
-    out = grouped_lag(ds, ["user_id"], ["ts", "event_id"], "value")
-    return out.map_batches(
-        lambda b: b[["event_id", "user_id", "value", "prev_value"]],
-        batch_format="pandas",
-    )
-
-
-def q_approx_distinct_users(sf_dir: str):
-    # HLL sketch distinct count (rows-only: approximate by design; accuracy
-    # asserted vs the exact count in pytest)
-    from pdf_extract_ray.stages.sketch import approx_distinct
-
-    ds = _t(sf_dir, "events", columns=["user_id"])
-    est = approx_distinct(ds, "user_id", p=12)
-    return pd.DataFrame({"approx_distinct_users": [int(est)]})
 
 
 # deterministic PII-bearing text synthesized from doc_id (no external
@@ -3457,43 +2190,6 @@ def _contamination_evidence_oracle() -> str:
     )
 
     return fuzzy_contamination_oracle_sql(evidence=True)
-
-
-def q_out_of_order_events(sf_dir: str):
-    # event-stream health audit: per-user fraction of events whose
-    # timestamp goes BACKWARD in arrival order (arrival proxy =
-    # event_id) — grouped LAG + pre-aggregated sums, one bucketed
-    # shuffle of narrow rows.
-    from pdf_extract_ray.stages.agg import grouped_aggregate
-    from pdf_extract_ray.stages.windows import grouped_lag
-    from pdf_extract_ray.util import round_half_away
-
-    ds = _t(sf_dir, "events", columns=["event_id", "user_id", "ts"])
-    lag = grouped_lag(ds, ["user_id"], ["event_id"], "ts",
-                      out_col="prev_ts")
-
-    def narrow(b: pd.DataFrame) -> pd.DataFrame:
-        prev = pd.to_datetime(b["prev_ts"])
-        ooo = (prev > pd.to_datetime(b["ts"])).fillna(False)
-        return pd.DataFrame({
-            "user_id": b["user_id"].to_numpy(),
-            "n_events": np.ones(len(b), dtype=np.int64),
-            "n_out_of_order": ooo.to_numpy().astype(np.int64),
-        })
-
-    agg = grouped_aggregate(
-        lag.map_batches(narrow, batch_format="pandas"), ["user_id"],
-        {"n_events": ("n_events", "sum"),
-         "n_out_of_order": ("n_out_of_order", "sum")})
-
-    def finish(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["ooo_frac"] = round_half_away(
-            b["n_out_of_order"].to_numpy(np.float64)
-            / b["n_events"].to_numpy(np.float64), 4)
-        return b
-
-    return agg.map_batches(finish, batch_format="pandas")
 
 
 def q_quoted_spans(sf_dir: str):
@@ -5894,40 +4590,6 @@ def q_host_rollup(sf_dir: str):
         batch_format="pandas")
 
 
-def q_decayed_event_scores(sf_dir: str):
-    # freshness-weighted counts (experiment.decayed_group_scores): per
-    # event_type exponentially-decayed score vs the corpus max ts —
-    # INTEGER dyadic weights (1e6 >> half_lives) make the shuffled
-    # partial sums exact and order-independent; one scalar max pass +
-    # one grouped integer sum.  The crawl-recency prior.
-    from pdf_extract_ray.stages.experiment import decayed_group_scores
-
-    ds = _t(sf_dir, "events", columns=["event_type", "ts"])
-    return decayed_group_scores(ds, ["event_type"], "ts",
-                                half_life_days=1, cap_shifts=20)
-
-
-def q_welch_ab_events(sf_dir: str):
-    # grouped A/B readout (experiment.welch_ab_test): Welch's t between
-    # deterministic arms (user_id parity) per event_type — floored
-    # integer values give exact int64 moments (n, sum, sum^2) that
-    # shuffle as map-side partials; the t/df float math is ONE frozen
-    # final expression mirrored verbatim in the SQL oracle.
-    from pdf_extract_ray.stages.experiment import welch_ab_test
-
-    ds = _t(sf_dir, "events", columns=["event_type", "user_id", "value"])
-
-    def derive(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "event_type": b["event_type"].to_numpy(),
-            "arm": (b["user_id"] % 2).to_numpy(np.int64),
-            "v": np.floor(b["value"].to_numpy(np.float64)),
-        })
-
-    return welch_ab_test(ds.map_batches(derive, batch_format="pandas"),
-                         ["event_type"], "arm", "v")
-
-
 def _with_psl_url(b: pd.DataFrame) -> pd.DataFrame:
     # hosts spanning multi-label public suffixes (co.uk, ne.jp),
     # plain 2-label domains behind www, a single-label host, and a
@@ -6059,29 +4721,6 @@ def q_degree_assortativity(sf_dir: str):
         ds.map_batches(_tri_edges, batch_format="pandas"))
 
 
-def q_cusum_events(sf_dir: str):
-    # CUSUM control chart (windows.grouped_cusum, Page 1954): upward
-    # value-drift detection per event_type — exact int64 closed form
-    # (prefix sum minus running min), one key cogroup, two stacked
-    # window functions in the SQL mirror.
-    from pdf_extract_ray.stages.windows import grouped_cusum
-
-    ds = _t(sf_dir, "events",
-            columns=["event_type", "ts", "event_id", "value"])
-
-    def derive(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "event_type": b["event_type"].to_numpy(),
-            "ts": b["ts"].to_numpy(),
-            "event_id": b["event_id"].to_numpy(np.int64),
-            "v": np.floor(b["value"].to_numpy(np.float64))
-            .astype(np.int64)})
-
-    return grouped_cusum(ds.map_batches(derive, batch_format="pandas"),
-                         ["event_type"], ["ts", "event_id"], "v",
-                         target=250, slack=10, threshold=2000)
-
-
 def q_triangle_counts(sf_dir: str):
     # per-node triangle counts (graph.count_triangles): degree-oriented
     # wedge join — orientation bounds wedge work by m^1.5 regardless of
@@ -6132,67 +4771,6 @@ def q_hard_negatives_embeddings(sf_dir: str):
     q = np.stack([r["embedding"] for r in rows])
     qlab = np.asarray([r["label"] for r in rows])
     return hard_negative_topk(ds, q, qlab, k=5)
-
-
-def q_corr_lineitem(sf_dir: str):
-    # per-group Pearson correlation (agg.grouped_corr): quantity vs
-    # floored extended price per return flag — integer-valued inputs
-    # make the (n, Σx, Σy, Σxy, Σx², Σy²) moment partials exact; the
-    # finish is one frozen IEEE chain mirrored verbatim in SQL.
-    from pdf_extract_ray.stages.agg import grouped_corr
-
-    ds = _t(sf_dir, "lineitem",
-            columns=["l_returnflag", "l_quantity", "l_extendedprice"])
-
-    def derive(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "l_returnflag": b["l_returnflag"].to_numpy(),
-            "x": np.floor(b["l_quantity"].to_numpy(np.float64)),
-            "y": np.floor(b["l_extendedprice"].to_numpy(np.float64)),
-        })
-
-    return grouped_corr(ds.map_batches(derive, batch_format="pandas"),
-                        ["l_returnflag"], "x", "y")
-
-
-def q_auc_events(sf_dir: str):
-    # grouped ROC AUC (experiment.rank_auc): does floor(value) separate
-    # the two deterministic user-parity classes per event_type — the
-    # tie-aware Mann-Whitney rank statistic with INTEGER doubled ranks
-    # (one exact int64 numerator, ONE division); the shuffle sees one
-    # row per distinct (event_type, score).
-    from pdf_extract_ray.stages.experiment import rank_auc
-
-    ds = _t(sf_dir, "events", columns=["event_type", "user_id", "value"])
-
-    def derive(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "event_type": b["event_type"].to_numpy(),
-            "v": np.floor(b["value"].to_numpy(np.float64)).astype(np.int64),
-            "pos": (b["user_id"] % 2).to_numpy(np.int64),
-        })
-
-    return rank_auc(ds.map_batches(derive, batch_format="pandas"),
-                    ["event_type"], "v", "pos")
-
-
-def q_psi_drift_events(sf_dir: str):
-    # distribution-drift readout (experiment.psi_drift): per-event_type
-    # Population Stability Index terms between the two event_id-parity
-    # snapshots — ONE bounded grouped count, driver finish on the
-    # O(categories) table, round-6 ln terms mirrored in SQL.
-    from pdf_extract_ray.stages.experiment import psi_drift
-
-    ds = _t(sf_dir, "events", columns=["event_type", "event_id"])
-
-    def derive(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "event_type": b["event_type"].to_numpy(),
-            "snap": (b["event_id"] % 2).to_numpy(np.int64),
-        })
-
-    return psi_drift(ds.map_batches(derive, batch_format="pandas"),
-                     "event_type", "snap")
 
 
 def q_js_drift_words(sf_dir: str):
@@ -6445,94 +5023,6 @@ def _url_change_freq_oracle() -> str:
     )
 
 
-def q_chisq_events(sf_dir: str):
-    # chi-squared independence terms (experiment.chisq_terms): per
-    # event_type, does the arm (user_id parity) change the outcome
-    # category (value tercile)?  One grouped integer count on
-    # (key, arm, cat) with map-side partials; the marginals attach in
-    # one bucketed regroup of already-aggregated rows; chisq_term is a
-    # single frozen IEEE expression over exact integers (round-6).
-    from pdf_extract_ray.stages.experiment import chisq_terms
-
-    ds = _t(sf_dir, "events", columns=["event_type", "user_id", "value"])
-
-    def derive(b: pd.DataFrame) -> pd.DataFrame:
-        v = b["value"].to_numpy(np.float64)
-        return pd.DataFrame({
-            "event_type": b["event_type"].to_numpy(),
-            "arm": (b["user_id"] % 2).to_numpy(np.int64),
-            "cat": (np.floor(v).astype(np.int64) // 34).clip(0, 2),
-        })
-
-    return chisq_terms(ds.map_batches(derive, batch_format="pandas"),
-                       ["event_type"], "arm", "cat")
-
-
-def _chisq_events_oracle() -> str:
-    from pdf_extract_ray.stages.experiment import chisq_terms_oracle_sql
-
-    return chisq_terms_oracle_sql(
-        "SELECT event_type, user_id, value FROM events",
-        ["event_type"], "user_id % 2",
-        "LEAST(GREATEST(CAST(floor(value) AS BIGINT) // 34, 0), 2)")
-
-
-def q_ks_test_events(sf_dir: str):
-    # two-sample KS distribution test (experiment.ks_test): per
-    # event_type, max CDF gap of floored value between user_id-parity
-    # arms — the gap maximization is all-integer (cum_a·n_b − cum_b·n_a)
-    # so the statistic is bit-identical to the SQL window mirror; the
-    # shuffle sees one row per distinct (key, value), never raw rows.
-    from pdf_extract_ray.stages.experiment import ks_test
-
-    ds = _t(sf_dir, "events", columns=["event_type", "user_id", "value"])
-
-    def derive(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "event_type": b["event_type"].to_numpy(),
-            "arm": (b["user_id"] % 2).to_numpy(np.int64),
-            "v": np.floor(b["value"].to_numpy(np.float64)),
-        })
-
-    return ks_test(ds.map_batches(derive, batch_format="pandas"),
-                   ["event_type"], "arm", "v")
-
-
-def _ks_test_events_oracle() -> str:
-    from pdf_extract_ray.stages.experiment import ks_test_oracle_sql
-
-    return ks_test_oracle_sql(
-        "SELECT event_type, user_id, value FROM events",
-        ["event_type"], "user_id % 2", "CAST(floor(value) AS BIGINT)")
-
-
-def q_wilson_event_rates(sf_dir: str):
-    # Wilson score interval (experiment.wilson_bounds): per event_type,
-    # the small-sample-safe rate bound for P(value >= 50) — the
-    # rank-hosts-by-rate primitive; exact integer (n, k) partials, one
-    # frozen float expression shared with the SQL oracle.
-    from pdf_extract_ray.stages.experiment import wilson_bounds
-
-    ds = _t(sf_dir, "events", columns=["event_type", "value"])
-
-    def derive(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "event_type": b["event_type"].to_numpy(),
-            "y": (b["value"].to_numpy(np.float64) >= 50.0).astype(np.int64),
-        })
-
-    return wilson_bounds(ds.map_batches(derive, batch_format="pandas"),
-                         ["event_type"], "y")
-
-
-def _wilson_event_rates_oracle() -> str:
-    from pdf_extract_ray.stages.experiment import wilson_bounds_oracle_sql
-
-    return wilson_bounds_oracle_sql(
-        "SELECT event_type, value FROM events",
-        ["event_type"], "CAST(value >= 50.0 AS BIGINT)")
-
-
 def q_random_projection_embeddings(sf_dir: str):
     # Johnson–Lindenstrauss ±1 sign projection (similarity.
     # random_project, Achlioptas 2003): floor-quantized int vectors ×
@@ -6548,25 +5038,6 @@ def _random_projection_oracle() -> str:
     from pdf_extract_ray.stages.similarity import random_project_oracle_sql
 
     return random_project_oracle_sql(out_dim=8, scale=1000)
-
-
-def q_benford_price_digits(sf_dir: str):
-    # Benford leading-digit audit (contract.benford_digit_stats): the
-    # fabricated-numbers screen over lineitem prices per return flag —
-    # one narrow derive + grouped count (<= 9 digit rows per group) +
-    # bucketed total attach; round-6 absorbs log10 ulps.
-    from pdf_extract_ray.stages.contract import benford_digit_stats
-
-    ds = _t(sf_dir, "lineitem", columns=["l_returnflag", "l_extendedprice"])
-    return benford_digit_stats(ds, ["l_returnflag"], "l_extendedprice")
-
-
-def _benford_price_digits_oracle() -> str:
-    from pdf_extract_ray.stages.contract import benford_digit_stats_oracle_sql
-
-    return benford_digit_stats_oracle_sql(
-        "SELECT l_returnflag, l_extendedprice FROM lineitem",
-        ["l_returnflag"], "l_extendedprice")
 
 
 def q_soundex_word_blocks(sf_dir: str):
@@ -6650,20 +5121,9 @@ def q_porter_stems(sf_dir: str):
 def queries() -> dict[str, Callable[[str], Any]]:
     return {
         "corpus_counts": q_corpus_counts,
-        "benford_price_digits": q_benford_price_digits,
         "soundex_word_blocks": q_soundex_word_blocks,
         "porter_stems": q_porter_stems,
-        "chisq_events": q_chisq_events,
-        "ks_test_events": q_ks_test_events,
-        "wilson_event_rates": q_wilson_event_rates,
         "random_projection_embeddings": q_random_projection_embeddings,
-        "event_type_stats": q_event_type_stats,
-        "recent_events_topk": q_recent_events_topk,
-        "order_priority_rollup": q_order_priority_rollup,
-        "pricing_summary": q_pricing_summary,
-        "windowed_events": q_windowed_events,
-        "orders_customer_join": q_orders_customer_join,
-        "customer_order_rollup": q_customer_order_rollup,
         "dedup_exact_documents": q_dedup_exact_documents,
         "dedup_keep_latest_docs": q_dedup_keep_latest_docs,
         "dup_segment_docs": q_dup_segment_docs,
@@ -6680,29 +5140,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "script_mix_docs": q_script_mix_docs,
         "top_ngrams_docs": q_top_ngrams_docs,
         "sanitize_controls_docs": q_sanitize_controls_docs,
-        "top_events_per_user": q_top_events_per_user,
-        "grouped_median_lineitem": q_grouped_median_lineitem,
-        "rollup_pricing": q_rollup_pricing,
-        "cube_order_status": q_cube_order_status,
-        "pivot_event_counts": q_pivot_event_counts,
-        "ranked_orders": q_ranked_orders,
         "casing_stats_docs": q_casing_stats_docs,
         "embedding_covariance": q_embedding_covariance,
         "quantized_embeddings": q_quantized_embeddings,
-        "value_histogram_events": q_value_histogram_events,
         "pair_edit_distance": q_pair_edit_distance,
-        "debounced_events": q_debounced_events,
-        "validate_orders": q_validate_orders,
         "zscore_docs_by_lang": q_zscore_docs_by_lang,
-        "rolling_quantity_lineitem": q_rolling_quantity_lineitem,
-        "interval_overlap_join": q_interval_overlap_join,
-        "rolling_value_1h_events": q_rolling_value_1h_events,
-        "funnel_events": q_funnel_events,
-        "cohort_retention_events": q_cohort_retention_events,
-        "mode_event_type_user": q_mode_event_type_user,
         "global_rank_docs": q_global_rank_docs,
-        "ntile_events": q_ntile_events,
-        "rate_limited_events": q_rate_limited_events,
         "stale_pages_docs": q_stale_pages,
         "feed_entries": q_feed_entries,
         "lang_outlier_docs": q_lang_outlier_docs,
@@ -6711,14 +5154,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "url_trap_docs": q_url_traps,
         "crawl_frontier": q_crawl_frontier,
         "pmi_terms_lang": q_pmi_terms_lang,
-        "melt_lineitem_metrics": q_melt_lineitem_metrics,
-        "funnel_latency_events": q_funnel_latency_events,
-        "event_time_profile": q_event_time_profile,
         "weighted_sample_docs": q_weighted_sample_docs,
-        "dense_windows_events": q_dense_windows_events,
-        "event_transitions": q_event_transitions,
-        "linreg_value_trend": q_linreg_value_trend,
-        "bloom_join_orders": q_bloom_join_orders,
         "fingerprints": q_fingerprints,
         "content_filter_docs": q_content_filter_docs,
         "cleaned_text": q_cleaned_text,
@@ -6750,7 +5186,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "qgram_edit_join_docs": q_qgram_edit_join_docs,
         "rrf_fusion_docs": q_rrf_fusion_docs,
         "host_mirror_docs": q_host_mirror_docs,
-        "analyze_orders": q_analyze_orders,
         "crawl_budget_hosts": q_crawl_budget_hosts,
         "semi_join_docs": q_semi_join_docs,
         "label_prop_docs": q_label_prop_docs,
@@ -6760,7 +5195,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "syndicated_pairs": q_syndicated_pairs,
         "extraction_yield_hosts": q_extraction_yield_hosts,
         "contamination_evidence": q_contamination_evidence,
-        "out_of_order_events": q_out_of_order_events,
         "knn_join_embeddings": q_knn_join_embeddings,
         "quoted_spans_docs": q_quoted_spans,
         "split_leakage_pairs": q_split_leakage_pairs,
@@ -6776,15 +5210,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "date_mentions_docs": q_date_mentions_docs,
         "term_blocklist_docs": q_term_blocklist_docs,
         "url_dedup_docs": q_url_dedup_docs,
-        "l_diversity_events": q_l_diversity_events,
         "textrank_keywords": q_textrank_keywords,
         "minmax_scale_docs": q_minmax_scale_docs,
         "winsorize_docs": q_winsorize_docs,
-        "event_hhi_by_user": q_event_hhi_by_user,
-        "event_cooccurrence": q_event_cooccurrence,
-        "impute_median_events": q_impute_median_events,
-        "decayed_event_scores": q_decayed_event_scores,
-        "welch_ab_events": q_welch_ab_events,
         "registered_domain_docs": q_registered_domain_docs,
         "query_param_stats": q_query_param_stats,
         "doc_keywords_docs": q_doc_keywords,
@@ -6792,34 +5220,16 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "triangle_counts_graph": q_triangle_counts,
         "clustering_coeff_graph": q_clustering_coeff_graph,
         "degree_assortativity_graph": q_degree_assortativity,
-        "cusum_events": q_cusum_events,
         "reciprocal_links": q_reciprocal_links,
         "lexical_diversity_docs": q_lexical_diversity_docs,
         "hard_negatives_embeddings": q_hard_negatives_embeddings,
-        "corr_lineitem": q_corr_lineitem,
-        "auc_events": q_auc_events,
-        "event_entropy_by_user": q_event_entropy_by_user,
-        "merged_intervals_events": q_merged_intervals_events,
-        "band_join_events_orders": q_band_join_events_orders,
         "rendezvous_hosts": q_rendezvous_hosts,
         "content_type_docs": q_content_type_docs,
-        "weighted_median_events": q_weighted_median_events,
-        "window_distinct_users": q_window_distinct_users,
-        "cumulative_users_events": q_cumulative_users_events,
-        "calibration_bins_events": q_calibration_bins_events,
-        "k_anonymity_events": q_k_anonymity_events,
-        "user_gini_events": q_user_gini_events,
-        "psi_drift_events": q_psi_drift_events,
         "pct_rank_docs_by_lang": q_pct_rank_docs_by_lang,
         "vocab_filter_docs": q_vocab_filter_docs,
-        "rising_event_types": q_rising_event_types,
-        "burstiness_events": q_burstiness_events,
         "word_overlap_pairs": q_word_overlap_pairs,
-        "distinct_users_exact": q_distinct_users_exact,
-        "interarrival_stats_events": q_interarrival_stats_events,
         "neighbor_jw_docs": q_neighbor_jw_docs,
         "length_hist_by_lang": q_length_hist_by_lang,
-        "mad_outlier_events": q_mad_outlier_events,
         "embedding_centroids": q_embedding_centroids,
         "token_coverage_docs": q_token_coverage_docs,
         "zipf_fit_docs": q_zipf_fit_docs,
@@ -6828,18 +5238,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "host_size_hist": q_host_size_hist,
         "unigram_vocab_docs": q_unigram_vocab_docs,
         "unigram_token_stats": q_unigram_token_stats,
-        "grouped_distinct_users": q_grouped_distinct_users,
         "markdown_docs": q_markdown_docs,
         "typo_norm_docs": q_typo_norm_docs,
-        "trending_events": q_trending_events,
         "url_path_rollup": q_url_path_rollup,
         "balanced_shards_docs": q_balanced_shards_docs,
-        "salted_join_lineitem": q_salted_join_lineitem,
         "prefix_jaccard_dup": q_prefix_jaccard_dup,
         "sorted_neighbors_docs": q_sorted_neighbors_docs,
-        "nearest_event_order": q_nearest_event_order,
-        "asof_event_order": q_asof_event_order,
-        "orders_price_tier": q_orders_price_tier,
         "extract_flagship": q_extract_flagship,
         "extract_staged": q_extract_staged,
         "extract_sentences": q_extract_sentences,
@@ -6851,19 +5255,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "media_pixel_features": q_media_pixel_features,
         "distinct_langs": q_distinct_langs,
         "stratified_sample_docs": q_stratified_sample_docs,
-        "sessionized_events": q_sessionized_events,
-        "hopping_window_events": q_hopping_window_events,
-        "customer_nation_broadcast": q_customer_nation_broadcast,
-        "top_customers": q_top_customers,
-        "revenue_by_nation": q_revenue_by_nation,
         "extract_doc_counts": q_extract_doc_counts,
         "pdf_extract_docs": q_pdf_extract_docs,
-        "props_extract": q_props_extract,
-        "top_orders_per_customer": q_top_orders_per_customer,
-        "event_value_quantiles": q_event_value_quantiles,
-        "approx_event_quantiles": q_approx_event_quantiles,
-        "event_value_lag": q_event_value_lag,
-        "approx_distinct_users": q_approx_distinct_users,
         "pii_redacted_docs": q_pii_redacted_docs,
         "bm25_docs": q_bm25_docs,
         "tfidf_docs": q_tfidf_docs,
@@ -7370,33 +5763,12 @@ def _host_quality_oracle() -> str:
         src, score_col="n_chars", min_avg=298.0)
 
 
-def _validate_orders_oracle() -> str:
-    from pdf_extract_ray.stages.contract import validate_table_oracle_sql
-
-    return validate_table_oracle_sql(
-        "SELECT * FROM orders",
-        not_null=["o_custkey"],
-        ranges={"o_totalprice": (0.0, 400000.0)},
-        patterns={"o_orderpriority": "[1-5]-[A-Z]+"},
-        allowed={"o_orderstatus": ["O", "F", "P"]},
-        unique=["o_orderkey"])
-
-
 def _click_depth_oracle() -> str:
     from pdf_extract_ray.stages.graph import bfs_depth_oracle_sql
 
     edges = ("SELECT doc_id % 40 AS src, (doc_id * 3 + 1) % 40 AS dst "
              "FROM documents WHERE doc_id < 200")
     return bfs_depth_oracle_sql(edges, [0], max_depth=4)
-
-
-def _analyze_orders_oracle() -> str:
-    from pdf_extract_ray.stages.contract import analyze_columns_oracle_sql
-
-    return analyze_columns_oracle_sql(
-        "SELECT * FROM orders",
-        ["o_custkey", "o_orderpriority", "o_orderstatus",
-         "o_totalprice"])
 
 
 def _rrf_fusion_oracle() -> str:
@@ -7445,61 +5817,6 @@ def _semi_join_oracle() -> str:
               "coalesce(source, '') AS key FROM documents")
     ref = corpus + " WHERE doc_id % 7 = 0"
     return semi_join_reference_oracle_sql(corpus, ref, "key")
-
-
-def _impute_median_oracle() -> str:
-    from pdf_extract_ray.stages.agg import impute_by_group_median_oracle_sql
-
-    derive = (
-        "SELECT event_id, event_type, "
-        "CASE WHEN event_id % 5 = 0 THEN NULL "
-        "ELSE floor(value) END AS v FROM events"
-    )
-    return impute_by_group_median_oracle_sql(derive, ["event_type"], "v")
-
-
-def _decayed_scores_oracle() -> str:
-    from pdf_extract_ray.stages.experiment import (
-        decayed_group_scores_oracle_sql,
-    )
-
-    return decayed_group_scores_oracle_sql(
-        "SELECT event_type, ts FROM events", ["event_type"], "ts",
-        half_life_days=1, cap_shifts=20)
-
-
-def _welch_ab_oracle() -> str:
-    from pdf_extract_ray.stages.experiment import welch_ab_test_oracle_sql
-
-    return welch_ab_test_oracle_sql(
-        "SELECT event_type, user_id, value FROM events",
-        ["event_type"], "user_id % 2", "CAST(floor(value) AS BIGINT)")
-
-
-def _corr_lineitem_oracle() -> str:
-    from pdf_extract_ray.stages.agg import grouped_corr_oracle_sql
-
-    return grouped_corr_oracle_sql(
-        "(SELECT l_returnflag, "
-        "CAST(floor(l_quantity) AS BIGINT) AS x, "
-        "CAST(floor(l_extendedprice) AS BIGINT) AS y FROM lineitem)",
-        ["l_returnflag"], "x", "y")
-
-
-def _auc_events_oracle() -> str:
-    from pdf_extract_ray.stages.experiment import rank_auc_oracle_sql
-
-    return rank_auc_oracle_sql(
-        "SELECT event_type, user_id, value FROM events",
-        ["event_type"], "CAST(floor(value) AS BIGINT)", "user_id % 2")
-
-
-def _psi_drift_oracle() -> str:
-    from pdf_extract_ray.stages.experiment import psi_drift_oracle_sql
-
-    return psi_drift_oracle_sql(
-        "SELECT event_type, event_id FROM events",
-        "event_type", "event_id % 2")
 
 
 def _registered_domain_oracle() -> str:
@@ -7557,16 +5874,6 @@ def _degree_assortativity_oracle() -> str:
              "UNION ALL "
              "SELECT doc_id % 30, (doc_id * 7 + 3) % 30 FROM documents")
     return degree_assortativity_oracle_sql(edges)
-
-
-def _cusum_events_oracle() -> str:
-    from pdf_extract_ray.stages.windows import grouped_cusum_oracle_sql
-
-    return grouped_cusum_oracle_sql(
-        "SELECT event_type, ts, event_id, "
-        "CAST(floor(value) AS BIGINT) AS v FROM events",
-        ["event_type"], ["ts", "event_id"], "v",
-        target=250, slack=10, threshold=2000)
 
 
 def _reciprocal_links_oracle() -> str:
@@ -7638,14 +5945,6 @@ def _length_hist_oracle() -> str:
         0.0, 600.0, 12)
 
 
-def _mad_outlier_oracle() -> str:
-    from pdf_extract_ray.stages.agg import grouped_mad_outliers_oracle_sql
-
-    return grouped_mad_outliers_oracle_sql(
-        "SELECT event_type, floor(value) AS v FROM events",
-        ["event_type"], "v", k=3.0)
-
-
 def _embedding_centroids_oracle() -> str:
     from pdf_extract_ray.stages.similarity import grouped_centroids_oracle_sql
 
@@ -7669,22 +5968,6 @@ def _minmax_scale_oracle() -> str:
     return grouped_minmax_scale_oracle_sql(
         "SELECT doc_id, lang, n_chars FROM documents",
         ["lang"], "n_chars")
-
-
-def _event_hhi_oracle() -> str:
-    from pdf_extract_ray.stages.agg import grouped_hhi_oracle_sql
-
-    return grouped_hhi_oracle_sql(
-        "SELECT user_id, event_type FROM events",
-        ["user_id"], "event_type")
-
-
-def _event_cooccurrence_oracle() -> str:
-    from pdf_extract_ray.stages.events import item_cooccurrence_oracle_sql
-
-    return item_cooccurrence_oracle_sql(
-        "SELECT user_id, event_type FROM events",
-        "user_id", "event_type")
 
 
 def _zipf_fit_oracle() -> str:
@@ -7777,13 +6060,6 @@ def _quantized_embeddings_oracle() -> str:
     return quantize_embeddings_oracle_sql()
 
 
-def _value_histogram_oracle() -> str:
-    from pdf_extract_ray.stages.agg import value_histogram_oracle_sql
-
-    return value_histogram_oracle_sql(
-        "SELECT value FROM events", "value", 0.0, 500.0, 50)
-
-
 def _embedding_covariance_oracle() -> str:
     from pdf_extract_ray.stages.pca import embedding_covariance_oracle_sql
 
@@ -7794,108 +6070,6 @@ def _casing_stats_oracle() -> str:
     from pdf_extract_ray.stages.textquality import casing_stats_oracle_sql
 
     return casing_stats_oracle_sql()
-
-
-def _grouped_median_oracle() -> str:
-    from pdf_extract_ray.stages.agg import grouped_quantile_disc_oracle_sql
-
-    return grouped_quantile_disc_oracle_sql(
-        "SELECT l_returnflag, l_quantity FROM lineitem",
-        ["l_returnflag"], "l_quantity", 0.5, out_col="median_qty")
-
-
-def _rollup_pricing_oracle() -> str:
-    from pdf_extract_ray.stages.olap import rollup_oracle_sql
-
-    return rollup_oracle_sql(
-        "lineitem", ["l_returnflag", "l_linestatus"],
-        {"sum_qty": ("l_quantity", "sum"), "n": ("l_quantity", "count")})
-
-
-def _cube_order_status_oracle() -> str:
-    from pdf_extract_ray.stages.olap import cube_oracle_sql
-
-    return cube_oracle_sql(
-        "orders", ["o_orderstatus", "o_orderpriority"],
-        {"n": ("o_totalprice", "count"),
-         "max_price": ("o_totalprice", "max")})
-
-
-def _pivot_event_counts_oracle() -> str:
-    from pdf_extract_ray.stages.olap import pivot_wide_oracle_sql
-
-    return pivot_wide_oracle_sql(
-        "events", ["user_id"], "event_type", _EVENT_TYPES,
-        op="count", prefix="n_")
-
-
-def _ranked_orders_oracle() -> str:
-    from pdf_extract_ray.stages.olap import grouped_rank_oracle_sql
-
-    return grouped_rank_oracle_sql(
-        "(SELECT o_orderkey, o_custkey, o_totalprice FROM orders)",
-        ["o_custkey"], "o_totalprice", descending=True,
-        tie_col="o_orderkey", out_col="price_rank",
-        method="row_number", ntile=4, ntile_col="price_quartile")
-
-
-def _top_events_per_user_oracle() -> str:
-    from pdf_extract_ray.stages.agg import grouped_top_k_oracle_sql
-
-    return grouped_top_k_oracle_sql(
-        "SELECT user_id, event_id, value FROM events",
-        ["user_id"], "value", 2, tie_col="event_id")
-
-
-def _interval_overlap_oracle() -> str:
-    return (
-        "SELECT e.event_id, e.value, b.band_id, b.band FROM events e "
-        "JOIN (VALUES (0, 0.0, 100.0, 'low'), (1, 50.0, 200.0, 'mid'), "
-        "(2, 150.0, 500.0, 'high'), (3, 0.0, 500.0, 'all')) "
-        "b(band_id, lo, hi, band) "
-        "ON e.value >= b.lo AND e.value < b.hi")
-
-
-def _rolling_value_1h_oracle() -> str:
-    from pdf_extract_ray.stages.windows import grouped_rolling_time_oracle_sql
-
-    derive = ("SELECT event_id, user_id, ts, "
-              "CAST(floor(value) AS DOUBLE) AS v FROM events")
-    return grouped_rolling_time_oracle_sql(
-        f"({derive})", ["user_id"], "ts", "v",
-        {"n_1h": "count", "sum_1h": "sum",
-         "mean_1h": "mean", "max_1h": "max"}, "INTERVAL 1 HOUR")
-
-
-def _funnel_events_oracle() -> str:
-    from pdf_extract_ray.stages.events import funnel_oracle_sql
-
-    return funnel_oracle_sql(
-        "(SELECT user_id, ts, event_type FROM events)",
-        ["click", "view", "purchase"])
-
-
-def _cohort_retention_oracle() -> str:
-    from pdf_extract_ray.stages.events import cohort_retention_oracle_sql
-
-    return cohort_retention_oracle_sql(
-        "(SELECT user_id, ts FROM events)", period_days=7)
-
-
-def _mode_event_type_oracle() -> str:
-    from pdf_extract_ray.stages.agg import grouped_mode_oracle_sql
-
-    return grouped_mode_oracle_sql(
-        "SELECT user_id, event_type FROM events",
-        ["user_id"], "event_type")
-
-
-def _rate_limited_oracle() -> str:
-    from pdf_extract_ray.stages.windows import rate_limit_oracle_sql
-
-    return rate_limit_oracle_sql(
-        "(SELECT event_id, user_id, ts FROM events)", "user_id", "ts", 3,
-        tie_col="event_id", cols="event_id, user_id, ts")
 
 
 def _global_rank_docs_oracle() -> str:
@@ -7912,47 +6086,6 @@ def _pmi_terms_oracle() -> str:
     return pmi_terms_oracle_sql(
         "SELECT lang, text FROM documents", "lang",
         min_count=5, top_k=20)
-
-
-def _melt_lineitem_oracle() -> str:
-    from pdf_extract_ray.stages.olap import unpivot_oracle_sql
-
-    return unpivot_oracle_sql(
-        "(SELECT l_orderkey, l_linenumber, l_quantity, l_extendedprice, "
-        "l_discount, l_tax FROM lineitem)",
-        ["l_orderkey", "l_linenumber"],
-        ["l_quantity", "l_extendedprice", "l_discount", "l_tax"],
-        var_col="metric", value_col="value")
-
-
-def _funnel_latency_oracle() -> str:
-    from pdf_extract_ray.stages.events import funnel_oracle_sql
-
-    fun = funnel_oracle_sql(
-        "(SELECT user_id, ts, event_type FROM events)",
-        ["click", "view", "purchase"])
-    return (
-        f"SELECT user_id, "
-        f"datediff('microsecond', t1, t2) AS us_to_view, "
-        f"datediff('microsecond', t1, t3) AS us_to_purchase "
-        f"FROM ({fun}) WHERE steps_completed = 3")
-
-
-_EVENT_TIME_PROFILE_SQL = (
-    "SELECT CAST(dayofweek(ts) AS BIGINT) AS dow, "
-    "CAST(hour(ts) AS BIGINT) AS hour, "
-    "CAST(count(*) AS BIGINT) AS n FROM events GROUP BY 1, 2")
-
-
-def _weighted_median_oracle() -> str:
-    from pdf_extract_ray.stages.agg import (
-        grouped_weighted_median_oracle_sql,
-    )
-
-    return grouped_weighted_median_oracle_sql(
-        "SELECT event_type, CAST(floor(value) AS BIGINT) AS v, "
-        "user_id % 5 + 1 AS w FROM events",
-        ["event_type"], "v", "w")
 
 
 def _content_type_oracle() -> str:
@@ -7989,77 +6122,6 @@ def _rendezvous_oracle() -> str:
         "hostkey", 8)
 
 
-def _band_join_oracle() -> str:
-    from pdf_extract_ray.stages.joins import band_join_oracle_sql
-
-    return band_join_oracle_sql(
-        "SELECT CAST(floor(value) AS BIGINT) AS v, "
-        "min(event_id) AS event_id FROM events GROUP BY 1",
-        "SELECT o_orderkey % 3000 AS w, min(o_orderkey) AS o_orderkey "
-        "FROM orders GROUP BY 1",
-        "v", "w", eps=2, left_cols=["event_id"],
-        right_cols=["o_orderkey"])
-
-
-def _window_distinct_oracle() -> str:
-    from pdf_extract_ray.stages.windows import window_distinct_oracle_sql
-
-    return window_distinct_oracle_sql(
-        "SELECT ts, user_id FROM events", "ts", "user_id",
-        size_us=3_600_000_000)
-
-
-def _merged_intervals_oracle() -> str:
-    from pdf_extract_ray.stages.windows import merge_intervals_oracle_sql
-
-    return merge_intervals_oracle_sql(
-        "SELECT user_id, epoch_us(ts) AS s, "
-        "epoch_us(ts) + 600000000 AS e FROM events",
-        ["user_id"], "s", "e")
-
-
-def _cumulative_users_oracle() -> str:
-    from pdf_extract_ray.stages.events import cumulative_users_oracle_sql
-
-    return cumulative_users_oracle_sql(
-        "SELECT user_id, ts FROM events", "user_id", "ts")
-
-
-def _event_entropy_oracle() -> str:
-    from pdf_extract_ray.stages.experiment import (
-        grouped_entropy_terms_oracle_sql,
-    )
-
-    return grouped_entropy_terms_oracle_sql(
-        "SELECT user_id % 20 AS cohort, event_type FROM events",
-        ["cohort"], "event_type")
-
-
-def _calibration_bins_oracle() -> str:
-    from pdf_extract_ray.stages.experiment import calibration_bins_oracle_sql
-
-    return calibration_bins_oracle_sql(
-        "SELECT user_id, value FROM events",
-        "CAST(floor(value) AS BIGINT)", "user_id % 2",
-        lo=0, hi=500, n_bins=10)
-
-
-def _k_anonymity_oracle() -> str:
-    from pdf_extract_ray.stages.pii import k_anonymity_audit_oracle_sql
-
-    return k_anonymity_audit_oracle_sql(
-        "SELECT event_type, user_id, "
-        "CAST(dayofweek(ts) AS BIGINT) AS dow FROM events",
-        ["event_type", "user_id", "dow"], k=3)
-
-
-def _user_gini_oracle() -> str:
-    from pdf_extract_ray.stages.profile import count_gini_oracle_sql
-
-    return count_gini_oracle_sql("SELECT user_id FROM events",
-                                 ["user_id"])
-
-
 def _weighted_sample_oracle() -> str:
     from pdf_extract_ray.stages.agg import weighted_sample_oracle_sql
 
@@ -8068,59 +6130,12 @@ def _weighted_sample_oracle() -> str:
         "doc_id", "n_chars", 50)
 
 
-def _dense_windows_oracle() -> str:
-    from pdf_extract_ray.stages.windows import fill_window_gaps_oracle_sql
-
-    daily = (
-        "SELECT event_type, CAST(CAST(ts AS DATE) AS TIMESTAMP) AS win, "
-        "CAST(count(*) AS BIGINT) AS n FROM events "
-        "WHERE value > 300.0 GROUP BY 1, 2")
-    return fill_window_gaps_oracle_sql(
-        f"({daily})", ["event_type"], "win", "INTERVAL 1 DAY", {"n": 0})
-
-
-_EVENT_TRANSITIONS_SQL = (
-    "SELECT prev_type, event_type, CAST(count(*) AS BIGINT) AS n FROM ("
-    "SELECT event_type, lag(event_type) OVER (PARTITION BY user_id "
-    "ORDER BY ts, event_id) AS prev_type FROM events) "
-    "WHERE prev_type IS NOT NULL GROUP BY 1, 2")
-
-
-def _linreg_value_trend_oracle() -> str:
-    from pdf_extract_ray.stages.agg import grouped_linreg_oracle_sql
-
-    derive = (
-        "SELECT event_type, CAST(datediff('day', DATE '1970-01-01', "
-        "CAST(ts AS DATE)) AS DOUBLE) AS day, floor(value) AS v "
-        "FROM events")
-    return grouped_linreg_oracle_sql(f"({derive})", ["event_type"],
-                                     "day", "v")
-
-
-_BLOOM_JOIN_ORDERS_SQL = (
-    "SELECT o_orderkey, o_custkey, o_totalprice, c_name "
-    "FROM orders JOIN customer ON o_custkey = c_custkey "
-    "WHERE c_custkey % 37 = 0")
-
-
 def _zscore_docs_oracle() -> str:
     from pdf_extract_ray.stages.agg import grouped_standardize_oracle_sql
 
     return grouped_standardize_oracle_sql(
         "(SELECT doc_id, lang, n_chars FROM documents)",
         ["lang"], "n_chars")
-
-
-def _rolling_quantity_oracle() -> str:
-    from pdf_extract_ray.stages.windows import grouped_rolling_oracle_sql
-
-    return grouped_rolling_oracle_sql(
-        "(SELECT l_orderkey, l_linenumber, l_partkey, l_suppkey, "
-        "l_quantity FROM lineitem)",
-        ["l_orderkey"], ["l_linenumber", "l_partkey", "l_suppkey"],
-        "l_quantity",
-        {"qty3_sum": "sum", "qty3_mean": "mean",
-         "qty3_min": "min", "qty3_max": "max"}, window=3)
 
 
 def _sanitize_controls_oracle() -> str:
@@ -8243,49 +6258,8 @@ def _source_mixed_oracle() -> str:
 def oracle_sql() -> dict[str, str]:
     return {
         "corpus_counts": "SELECT lang, count(*) AS n_docs FROM documents GROUP BY lang",
-        "benford_price_digits": _benford_price_digits_oracle(),
         "soundex_word_blocks": _soundex_word_blocks_oracle(),
-        "chisq_events": _chisq_events_oracle(),
-        "ks_test_events": _ks_test_events_oracle(),
-        "wilson_event_rates": _wilson_event_rates_oracle(),
         "random_projection_embeddings": _random_projection_oracle(),
-        "event_type_stats": (
-            "SELECT event_type, count(*) AS n, round(sum(value), 2) AS sum_value "
-            "FROM events GROUP BY event_type"
-        ),
-        "recent_events_topk": (
-            "SELECT event_id, ts, user_id, event_type FROM events "
-            "ORDER BY ts DESC, event_id DESC LIMIT 100"
-        ),
-        "order_priority_rollup": (
-            "SELECT o_orderpriority, count(*) AS n FROM orders GROUP BY o_orderpriority"
-        ),
-        "pricing_summary": (
-            "SELECT l_returnflag, l_linestatus, "
-            "round(sum(l_quantity), 2) AS sum_qty, "
-            "round(sum(l_extendedprice), 2) AS sum_base_price, "
-            "round(sum(l_extendedprice * (1 - l_discount)), 2) AS sum_disc_price, "
-            "count(*) AS count_order, "
-            "round(sum(l_quantity) / count(*), 4) AS avg_qty, "
-            "round(sum(l_extendedprice) / count(*), 4) AS avg_price, "
-            "round(sum(l_discount) / count(*), 4) AS avg_disc "
-            "FROM lineitem GROUP BY l_returnflag, l_linestatus"
-        ),
-        "windowed_events": (
-            "SELECT user_id, date_trunc('hour', ts) AS hour, count(*) AS n_events, "
-            "round(sum(value), 2) AS sum_value FROM events GROUP BY user_id, hour"
-        ),
-        "orders_customer_join": (
-            "SELECT o_orderkey, o_custkey, o_totalprice, c_name, c_nationkey "
-            "FROM orders LEFT JOIN customer ON o_custkey = c_custkey"
-        ),
-        "customer_order_rollup": (
-            "SELECT c_custkey, c_mktsegment, "
-            "count(o_custkey) AS n_orders, "
-            "round(coalesce(sum(o_totalprice), 0), 2) AS total_spend "
-            "FROM customer LEFT JOIN orders ON c_custkey = o_custkey "
-            "GROUP BY c_custkey, c_mktsegment"
-        ),
         "dedup_exact_documents": (
             f"SELECT doc_id, fingerprint FROM ("
             f"SELECT doc_id, {_FP_SQL} AS fingerprint, "
@@ -8327,41 +6301,14 @@ def oracle_sql() -> dict[str, str]:
             "    round(n_common * 1.0 / n_truth, 6) END AS recall "
             "FROM tn, cn, m"
         ),
-        "asof_event_order": (
-            # tie-dedup mirrors asof_join(tie_break="o_orderkey"): among
-            # right rows sharing (custkey, orderdate), max o_orderkey wins
-            "WITH r AS (SELECT o_custkey, o_orderdate, "
-            "    max(o_orderkey) AS o_orderkey, "
-            "    max_by(o_totalprice, o_orderkey) AS o_totalprice "
-            "  FROM orders GROUP BY 1, 2) "
-            "SELECT e.event_id, e.ts, e.user_id, r.o_orderkey, r.o_totalprice "
-            "FROM events e ASOF LEFT JOIN r "
-            "  ON e.user_id = r.o_custkey AND e.ts >= r.o_orderdate"
-        ),
         "click_depth_docs": _click_depth_oracle(),
         "resolved_redirects": _resolved_redirects_oracle(),
         "qgram_edit_join_docs": _qgram_edit_join_oracle(),
         "rrf_fusion_docs": _rrf_fusion_oracle(),
-        "analyze_orders": _analyze_orders_oracle(),
         "crawl_budget_hosts": _crawl_budget_oracle(),
         "semi_join_docs": _semi_join_oracle(),
-        "impute_median_events": _impute_median_oracle(),
-        "decayed_event_scores": _decayed_scores_oracle(),
-        "welch_ab_events": _welch_ab_oracle(),
-        "corr_lineitem": _corr_lineitem_oracle(),
-        "auc_events": _auc_events_oracle(),
-        "event_entropy_by_user": _event_entropy_oracle(),
-        "merged_intervals_events": _merged_intervals_oracle(),
-        "band_join_events_orders": _band_join_oracle(),
         "rendezvous_hosts": _rendezvous_oracle(),
         "content_type_docs": _content_type_oracle(),
-        "weighted_median_events": _weighted_median_oracle(),
-        "window_distinct_users": _window_distinct_oracle(),
-        "cumulative_users_events": _cumulative_users_oracle(),
-        "calibration_bins_events": _calibration_bins_oracle(),
-        "k_anonymity_events": _k_anonymity_oracle(),
-        "user_gini_events": _user_gini_oracle(),
-        "psi_drift_events": _psi_drift_oracle(),
         "registered_domain_docs": _registered_domain_oracle(),
         "query_param_stats": _query_param_oracle(),
         "doc_keywords_docs": _doc_keywords_oracle(),
@@ -8369,7 +6316,6 @@ def oracle_sql() -> dict[str, str]:
         "triangle_counts_graph": _triangle_counts_oracle(),
         "clustering_coeff_graph": _clustering_coeff_oracle(),
         "degree_assortativity_graph": _degree_assortativity_oracle(),
-        "cusum_events": _cusum_events_oracle(),
         "reciprocal_links": _reciprocal_links_oracle(),
         "lexical_diversity_docs": _lexical_diversity_oracle(),
         "hard_negatives_embeddings": (
@@ -8389,100 +6335,19 @@ def oracle_sql() -> dict[str, str]:
             "AS pct_rank FROM documents"
         ),
         "vocab_filter_docs": _vocab_filter_oracle(),
-        "rising_event_types": (
-            "WITH c AS (SELECT date_trunc('hour', ts) AS hour, "
-            "  event_type, CAST(count(*) AS BIGINT) AS n "
-            "  FROM events GROUP BY 1, 2), "
-            "l AS (SELECT *, lag(n) OVER (PARTITION BY event_type "
-            "  ORDER BY hour) AS prev_n FROM c) "
-            "SELECT hour, event_type, n, prev_n, "
-            "  n - prev_n AS delta, "
-            "  CASE WHEN prev_n > 0 "
-            "       THEN CAST(n AS DOUBLE) / prev_n END AS ratio FROM l"
-        ),
-        "burstiness_events": (
-            # exact int64 moments over per-(hour,user) counts; the Fano
-            # factor is ONE double division on both sides
-            "WITH c AS (SELECT date_trunc('hour', ts) AS hour, user_id, "
-            "  CAST(count(*) AS BIGINT) AS c FROM events GROUP BY 1, 2), "
-            "m AS (SELECT user_id, CAST(count(*) AS BIGINT) AS n, "
-            "  CAST(sum(c) AS BIGINT) AS s, "
-            "  CAST(sum(c * c) AS BIGINT) AS ssq FROM c GROUP BY user_id) "
-            "SELECT user_id, n AS n_windows, s AS n_events, "
-            "  CAST(n * ssq - s * s AS DOUBLE) / CAST(n * s AS DOUBLE) "
-            "  AS fano FROM m"
-        ),
         "word_overlap_pairs": _word_overlap_oracle(),
-        "distinct_users_exact": (
-            "SELECT event_type, CAST(count(DISTINCT user_id) AS BIGINT) "
-            "AS n_distinct FROM events GROUP BY event_type"
-        ),
-        "interarrival_stats_events": (
-            # lag window -> integer-exact microsecond gaps -> aggregates;
-            # mean = one BIGINT/BIGINT double division on both sides
-            "WITH l AS (SELECT user_id, ts, "
-            "  lag(ts) OVER (PARTITION BY user_id "
-            "                ORDER BY ts, event_id) AS prev_ts "
-            "  FROM events), "
-            "g AS (SELECT user_id, "
-            "  datediff('microsecond', prev_ts, ts) AS gap_us "
-            "  FROM l WHERE prev_ts IS NOT NULL) "
-            "SELECT user_id, CAST(count(*) AS BIGINT) AS n_gaps, "
-            "  min(gap_us) AS min_gap_us, max(gap_us) AS max_gap_us, "
-            "  CAST(sum(gap_us) AS DOUBLE) / count(*) AS mean_gap_us "
-            "FROM g GROUP BY user_id"
-        ),
         "neighbor_jw_docs": _neighbor_jw_oracle(),
         "length_hist_by_lang": _length_hist_oracle(),
-        "mad_outlier_events": _mad_outlier_oracle(),
         "embedding_centroids": _embedding_centroids_oracle(),
         "token_coverage_docs": _token_coverage_oracle(),
         "zipf_fit_docs": _zipf_fit_oracle(),
         "heaps_fit_docs": _heaps_fit_oracle(),
         "host_size_hist": _host_size_hist_oracle(),
         "typo_norm_docs": _typo_norm_oracle(),
-        "trending_events": (
-            # tumbling-hour counts -> top-2 per window by (n DESC,
-            # event_type) — mirrors grouped_top_k's tie rule
-            "WITH c AS (SELECT date_trunc('hour', ts) AS hour, "
-            "event_type, count(*) AS n FROM events GROUP BY 1, 2) "
-            "SELECT hour, event_type, n FROM ("
-            "SELECT *, row_number() OVER (PARTITION BY hour "
-            "ORDER BY n DESC, event_type) AS __rn FROM c) WHERE __rn <= 2"
-        ),
         "url_path_rollup": _url_path_rollup_oracle(),
         "balanced_shards_docs": _balanced_shards_oracle(),
-        "salted_join_lineitem": (
-            # the salted join equals the plain inner join exactly
-            "SELECT l.l_orderkey, l.l_suppkey, l.l_quantity, s.s_name "
-            "FROM lineitem l JOIN supplier s ON s.s_suppkey = l.l_suppkey"
-        ),
         "prefix_jaccard_dup": _prefix_jaccard_oracle(),
         "sorted_neighbors_docs": _sorted_neighbors_oracle(),
-        "nearest_event_order": (
-            # nearest-direction as-of with 45-day inclusive tolerance;
-            # the lateral ORDER BY abs(delta), o_orderdate freezes the
-            # equidistant tie to the EARLIER order (the pandas rule)
-            "WITH r AS (SELECT o_custkey, o_orderdate, "
-            "    max(o_orderkey) AS o_orderkey, "
-            "    max_by(o_totalprice, o_orderkey) AS o_totalprice "
-            "  FROM orders GROUP BY 1, 2) "
-            "SELECT e.event_id, e.ts, e.user_id, n.o_orderkey, n.o_totalprice "
-            "FROM events e LEFT JOIN LATERAL ("
-            "  SELECT r.o_orderkey, r.o_totalprice FROM r "
-            "  WHERE r.o_custkey = e.user_id "
-            "    AND abs(datediff('microsecond', e.ts, r.o_orderdate)) "
-            "        <= 45 * 24 * 3600 * 1000000::BIGINT "
-            "  ORDER BY abs(datediff('microsecond', e.ts, r.o_orderdate)), "
-            "           r.o_orderdate LIMIT 1) n ON true"
-        ),
-        "orders_price_tier": (
-            "WITH tiers(tier, lo, hi) AS (VALUES "
-            "  ('small', 0.0, 50000.0), ('mid', 50000.0, 150000.0), "
-            "  ('large', 150000.0, 300000.0), ('jumbo', 300000.0, 1e12)) "
-            "SELECT o.o_orderkey, o.o_totalprice, t.tier FROM orders o "
-            "JOIN tiers t ON o.o_totalprice >= t.lo AND o.o_totalprice < t.hi"
-        ),
         "doc_reassembly": (
             "SELECT lang, source, "
             "string_agg(coalesce(text, ''), chr(10) ORDER BY doc_id) AS combined_text, "
@@ -8506,38 +6371,12 @@ def oracle_sql() -> dict[str, str]:
         "script_mix_docs": _script_mix_oracle(),
         "top_ngrams_docs": _top_ngrams_oracle(),
         "sanitize_controls_docs": _sanitize_controls_oracle(),
-        "top_events_per_user": _top_events_per_user_oracle(),
-        "grouped_median_lineitem": _grouped_median_oracle(),
-        "rollup_pricing": _rollup_pricing_oracle(),
-        "cube_order_status": _cube_order_status_oracle(),
-        "pivot_event_counts": _pivot_event_counts_oracle(),
-        "ranked_orders": _ranked_orders_oracle(),
         "casing_stats_docs": _casing_stats_oracle(),
         "embedding_covariance": _embedding_covariance_oracle(),
         "quantized_embeddings": _quantized_embeddings_oracle(),
-        "value_histogram_events": _value_histogram_oracle(),
         "pair_edit_distance": _pair_edit_distance_oracle(),
-        "debounced_events": (
-            "SELECT event_id, user_id, event_type, ts FROM ("
-            "SELECT event_id, user_id, event_type, ts, "
-            "lag(ts) OVER (PARTITION BY user_id, event_type "
-            "ORDER BY ts, event_id) AS pts FROM events) "
-            "WHERE pts IS NULL OR ts - pts >= INTERVAL 60 SECOND"),
-        "validate_orders": _validate_orders_oracle(),
         "zscore_docs_by_lang": _zscore_docs_oracle(),
-        "rolling_quantity_lineitem": _rolling_quantity_oracle(),
-        "interval_overlap_join": _interval_overlap_oracle(),
-        "rolling_value_1h_events": _rolling_value_1h_oracle(),
-        "funnel_events": _funnel_events_oracle(),
-        "cohort_retention_events": _cohort_retention_oracle(),
-        "mode_event_type_user": _mode_event_type_oracle(),
         "global_rank_docs": _global_rank_docs_oracle(),
-        "ntile_events": (
-            "SELECT event_id, value, CAST(ntile(4) OVER "
-            "(ORDER BY value, event_id) AS BIGINT) AS tile "
-            "FROM events WHERE value IS NOT NULL"
-        ),
-        "rate_limited_events": _rate_limited_oracle(),
         "stale_pages_docs": _stale_pages_oracle(),
         "feed_entries": _feed_entries_oracle(),
         "lang_outlier_docs": _lang_outlier_oracle(),
@@ -8556,17 +6395,6 @@ def oracle_sql() -> dict[str, str]:
             "x -> CAST(x AS DOUBLE) * CAST(x AS DOUBLE))) = 0 AS is_zero "
             "FROM embeddings"
         ),
-        "out_of_order_events": (
-            "WITH l AS (SELECT user_id, ts, lag(ts) OVER "
-            "(PARTITION BY user_id ORDER BY event_id) AS prev_ts "
-            "FROM events) "
-            "SELECT user_id, CAST(count(*) AS BIGINT) AS n_events, "
-            "CAST(sum(CASE WHEN prev_ts > ts THEN 1 ELSE 0 END) AS BIGINT) "
-            "AS n_out_of_order, "
-            "round(sum(CASE WHEN prev_ts > ts THEN 1 ELSE 0 END) "
-            "/ CAST(count(*) AS DOUBLE), 4) AS ooo_frac "
-            "FROM l GROUP BY user_id"
-        ),
         "url_trap_docs": _url_traps_oracle(),
         "pdf_cleanup_docs": _pdf_cleanup_oracle(),
         "wet_roundtrip_docs": (
@@ -8576,14 +6404,7 @@ def oracle_sql() -> dict[str, str]:
         ),
         "crawl_frontier": _crawl_frontier_oracle(),
         "pmi_terms_lang": _pmi_terms_oracle(),
-        "melt_lineitem_metrics": _melt_lineitem_oracle(),
-        "funnel_latency_events": _funnel_latency_oracle(),
-        "event_time_profile": _EVENT_TIME_PROFILE_SQL,
         "weighted_sample_docs": _weighted_sample_oracle(),
-        "dense_windows_events": _dense_windows_oracle(),
-        "event_transitions": _EVENT_TRANSITIONS_SQL,
-        "linreg_value_trend": _linreg_value_trend_oracle(),
-        "bloom_join_orders": _BLOOM_JOIN_ORDERS_SQL,
         "fingerprints": f"SELECT doc_id, {_FP_SQL} AS fingerprint FROM documents",
         "content_filter_docs": (
             "SELECT doc_id FROM documents WHERE NOT ("
@@ -8681,67 +6502,6 @@ def oracle_sql() -> dict[str, str]:
             "FROM documents) WHERE rn <= 20"
         ),
         "extract_doc_counts": "SELECT lang, count(*) AS n_docs FROM documents GROUP BY lang",
-        "props_extract": (
-            "SELECT event_id, CAST(props->>'k' AS BIGINT) AS k_value FROM events"
-        ),
-        "top_orders_per_customer": (
-            "SELECT o_orderkey, o_custkey, o_totalprice, rk FROM ("
-            "SELECT o_orderkey, o_custkey, o_totalprice, "
-            "row_number() OVER (PARTITION BY o_custkey "
-            "ORDER BY o_totalprice DESC, o_orderkey) AS rk FROM orders) "
-            "WHERE rk <= 3"
-        ),
-        "event_value_lag": (
-            "SELECT event_id, user_id, value, "
-            "lag(value) OVER (PARTITION BY user_id ORDER BY ts, event_id) "
-            "AS prev_value FROM events"
-        ),
-        "event_value_quantiles": (
-            "SELECT event_type, round(quantile_cont(value, 0.5), 4) AS p50, "
-            "round(quantile_cont(value, 0.9), 4) AS p90, "
-            "round(quantile_cont(value, 0.99), 4) AS p99 "
-            "FROM events GROUP BY event_type"
-        ),
-        "top_customers": (
-            "SELECT c_custkey, c_name, round(sum(o_totalprice), 2) AS total_spend "
-            "FROM orders JOIN customer ON o_custkey = c_custkey "
-            "GROUP BY c_custkey, c_name "
-            "ORDER BY total_spend DESC, c_custkey LIMIT 25"
-        ),
-        "revenue_by_nation": (
-            "SELECT c_nationkey, "
-            "round(sum(l_extendedprice * (1 - l_discount)), 2) AS revenue "
-            "FROM lineitem JOIN orders ON l_orderkey = o_orderkey "
-            "JOIN customer ON o_custkey = c_custkey GROUP BY c_nationkey"
-        ),
-        "customer_nation_broadcast": (
-            "SELECT c_custkey, c_nationkey, round(c_acctbal, 2) AS c_acctbal, "
-            "n_name, r_name FROM customer "
-            "JOIN nation ON c_nationkey = n_nationkey "
-            "JOIN region ON n_regionkey = r_regionkey"
-        ),
-        # hopping windows: each event joins the size/hop=2 window starts
-        # covering it (epoch arithmetic; make_timestamp keeps plain TIMESTAMP)
-        "hopping_window_events": (
-            "SELECT user_id, make_timestamp(CAST("
-            "(floor(epoch(ts) / 1800) - o) * 1800 * 1000000 AS BIGINT)) "
-            "AS window_start, count(*) AS n_events, "
-            "round(sum(value), 2) AS sum_value "
-            "FROM events CROSS JOIN (VALUES (0), (1)) AS hops(o) "
-            "GROUP BY user_id, window_start"
-        ),
-        "sessionized_events": (
-            "WITH d AS (SELECT user_id, ts, value, "
-            "CASE WHEN lag(ts) OVER w IS NULL "
-            "OR ts - lag(ts) OVER w > INTERVAL 30 MINUTE THEN 1 ELSE 0 END AS new_s "
-            "FROM events WINDOW w AS (PARTITION BY user_id ORDER BY ts)), "
-            "s AS (SELECT user_id, ts, value, "
-            "(sum(new_s) OVER (PARTITION BY user_id ORDER BY ts "
-            "ROWS UNBOUNDED PRECEDING))::BIGINT AS session_id FROM d) "
-            "SELECT user_id, session_id, min(ts) AS session_start, "
-            "max(ts) AS session_end, count(*) AS n_events, "
-            "round(sum(value), 2) AS sum_value FROM s GROUP BY user_id, session_id"
-        ),
         # --- committed single-process golden oracles -------------------
         # These pipelines are not SQL-expressible over the input tables
         # (DOM extraction, embedding alignment, sketch-based near-dup), so
@@ -8755,16 +6515,13 @@ def oracle_sql() -> dict[str, str]:
         # goldens are regenerated and re-verified against the distributed
         # plans in tests/test_goldens_oracle.py, so they cannot silently
         # go stale.  Paths are pinned to sf0.01 = the driver's comparison
-        # scale.  approx_distinct_users is a determinism freeze (HLL merge
-        # is associative, so single-process == distributed exactly);
-        # accuracy vs the exact count is asserted in pytest.
+        # scale.
         **{name: f"SELECT * FROM read_parquet('{_GOLD_SF001_DIR}/{name}.parquet')"
            for name in ("extract_flagship", "extract_staged", "extract_sentences",
                         "align_pairs", "align_merged_kr", "align_full_outer",
                         "minhash_near_dup", "simhash_near_dup", "winnow_near_dup",
                         "pair_analyzers", "layout_tagging", "media_features",
                         "media_pixel_features",
-                        "approx_distinct_users", "approx_event_quantiles",
                         "compression_ratio_docs",
                         "similarity_topk_ivf",
                         "embedding_near_dup_lsh", "pdf_extract_docs",
@@ -8778,7 +6535,7 @@ def oracle_sql() -> dict[str, str]:
                         "kmeans_embeddings", "k_core_docs",
                         "host_mirror_docs",
                         "dsir_weights_docs", "markdown_docs",
-                        "grouped_distinct_users", "porter_stems",
+                        "porter_stems",
                         "label_prop_docs", "knn_join_embeddings",
                         "central_embeddings", "cdc_dedup_docs",
                         "silhouette_embeddings",
@@ -8854,11 +6611,8 @@ def oracle_sql() -> dict[str, str]:
         "date_mentions_docs": _date_mentions_oracle(),
         "term_blocklist_docs": _term_blocklist_oracle(),
         "url_dedup_docs": _url_dedup_oracle(),
-        "l_diversity_events": _l_diversity_oracle(),
         "minmax_scale_docs": _minmax_scale_oracle(),
         "winsorize_docs": _winsorize_oracle(),
-        "event_hhi_by_user": _event_hhi_oracle(),
-        "event_cooccurrence": _event_cooccurrence_oracle(),
         "jsonl_roundtrip_docs": (
             "SELECT doc_id, text, lang, n_chars FROM documents"
         ),

@@ -8,7 +8,7 @@ over zero-copy Arrow batches for Common-Crawl-style web-page tables
 ``(url, warc_ts, html, text, lang)``.
 
 Nothing in this package calls ``ray.init()``/``ray.shutdown()``; a Ray
-session is owned by the caller (driver, bench.py, CLI, test fixture).
+session is owned by the caller (driver, perfbench, CLI, test fixture).
 """
 
 from pdf_extract_ray.config import ExtractConfig

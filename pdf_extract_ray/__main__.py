@@ -7,7 +7,8 @@ reference: cli.py:113-361, SURVEY.md §3.1-3.2).
     python -m pdf_extract_ray quality  --input 'pairs/*.parquet' --out out/ \
         [--no-dedup] [--global-dedup]
     python -m pdf_extract_ray status   --out out/
-    python -m pdf_extract_ray retry-failed --input 'pages/*.parquet' --out out/
+    python -m pdf_extract_ray retry-failed --input 'pages/*.parquet' --out out/ \
+        [--plan fused|staged] [--rule-pack default]
 
 `extract` is resumable: re-running skips manifested partitions.
 `retry-failed` clears failed manifest rows of an `extract` run and
@@ -242,14 +243,17 @@ def main(argv=None) -> int:
         if with_input:
             sp.add_argument("--input", required=True,
                             help="glob of input parquet shards")
-            sp.add_argument("--plan", default="fused",
-                            choices=["fused", "staged"])
-            sp.add_argument("--rule-pack", default="default")
             sp.add_argument("--files-per-partition", type=int, default=8)
             sp.add_argument("--num-cpus", type=int, default=None)
         sp.add_argument("--out", required=True, help="output directory")
 
-    add_common(sub.add_parser("extract", help="run/resume an extraction"))
+    def add_extract(sp):
+        add_common(sp)
+        sp.add_argument("--plan", default="fused",
+                        choices=["fused", "staged"])
+        sp.add_argument("--rule-pack", default="default")
+
+    add_extract(sub.add_parser("extract", help="run/resume an extraction"))
     qp = sub.add_parser("quality", help="run/resume the composed quality pass")
     add_common(qp)
     qp.add_argument("--no-dedup", action="store_true",
@@ -336,7 +340,7 @@ def main(argv=None) -> int:
                     help="content-hash family (md5 = SQL-parity mode; "
                          "fast = vectorized)")
     add_common(sub.add_parser("status", help="manifest rollup"), with_input=False)
-    add_common(sub.add_parser("retry-failed", help="re-run failed partitions"))
+    add_extract(sub.add_parser("retry-failed", help="re-run failed partitions"))
 
     args = p.parse_args(argv)
     return {"extract": cmd_extract, "quality": cmd_quality,

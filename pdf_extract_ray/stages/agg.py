@@ -281,140 +281,6 @@ def grouped_top_k(
                                 num_buckets=num_buckets)
 
 
-def value_histogram(
-    ds: Dataset,
-    col: str,
-    lo: float,
-    hi: float,
-    nbins: int,
-    *,
-    num_buckets: int | None = None,
-) -> Dataset:
-    """Fixed-width histogram of a numeric column — the distribution
-    report behind threshold tuning (pick the perplexity/score cutoffs
-    by LOOKING at the corpus first).  Frozen rule: only values with
-    ``lo <= v < hi`` count; ``bin = floor((v - lo) / w)`` with
-    ``w = (hi - lo) / nbins`` — both engines evaluate the SAME IEEE
-    double expression, so parity is exact, not approximate.
-
-    Scale shape: per-batch ``np.bincount`` partials (<= nbins rows per
-    batch regardless of batch size), ONE tiny grouped merge.  Output:
-    ``(bin, bin_lo, n)``, bins with zero count omitted (SQL GROUP BY
-    semantics)."""
-    w = (float(hi) - float(lo)) / int(nbins)
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        v = b[col].to_numpy(np.float64)
-        v = v[(v >= lo) & (v < hi)]
-        bins = np.floor((v - lo) / w).astype(np.int64)
-        cnt = np.bincount(bins, minlength=nbins)
-        nz = np.nonzero(cnt)[0]
-        return pd.DataFrame({"bin": nz.astype(np.int64),
-                             "n": cnt[nz].astype(np.int64)})
-
-    merged = grouped_aggregate(
-        ds.map_batches(partial, batch_format="pandas"),
-        ["bin"], {"n": ("n", "sum")}, num_buckets=num_buckets)
-
-    def edges(b: pd.DataFrame) -> pd.DataFrame:
-        from pdf_extract_ray.util import round_half_away
-
-        bins = b["bin"].to_numpy(np.int64)
-        return pd.DataFrame({
-            "bin": bins,
-            "bin_lo": round_half_away(lo + bins * w, 6),
-            "n": b["n"].to_numpy(np.int64),
-        })
-
-    return merged.map_batches(edges, batch_format="pandas")
-
-
-def value_histogram_oracle_sql(
-    table_sql: str,
-    col: str,
-    lo: float,
-    hi: float,
-    nbins: int,
-) -> str:
-    """DuckDB mirror of :func:`value_histogram` (identical double
-    expression for the bin, so the histogram is bit-exact)."""
-    w = (float(hi) - float(lo)) / int(nbins)
-    return f"""
-SELECT CAST(floor((CAST({col} AS DOUBLE) - {lo!r}) / {w!r}) AS BIGINT)
-         AS bin,
-       round({lo!r} + CAST(floor((CAST({col} AS DOUBLE) - {lo!r})
-                                 / {w!r}) AS BIGINT) * {w!r}, 6)
-         AS bin_lo,
-       CAST(count(*) AS BIGINT) AS n
-FROM ({table_sql})
-WHERE {col} >= {lo!r} AND {col} < {hi!r}
-GROUP BY 1, 2
-"""
-
-
-def grouped_quantile_disc(
-    ds: Dataset,
-    keys: Sequence[str],
-    val_col: str,
-    q: float,
-    *,
-    out_col: str | None = None,
-    num_buckets: int | None = None,
-) -> Dataset:
-    """EXACT per-group discrete quantile (``q=0.5`` = the lower
-    median): the value at 1-indexed position ``ceil(q * n)`` of the
-    group's sorted values — DuckDB's ``quantile_disc`` rule, frozen
-    (probed: n=1..6 medians and 0.25/0.9 tails match).
-
-    Scale shape: per-batch DISTINCT-COUNT partials ``(keys, val, c)``
-    shrink the shuffle (raw rows never move), ONE bucketed merge, then
-    a vectorized per-group cumsum pick.  The wire cost is the distinct
-    value codomain per group — intended for quantized values (counts,
-    quantized scores); near-unique doubles degrade to ~row-count rows
-    (still narrow).  Output: ``keys + (out_col, n_rows)``."""
-    keys = list(keys)
-    out_col = out_col or f"{val_col}_q"
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        g = b.groupby(keys + [val_col], as_index=False).size()
-        return g.rename(columns={"size": "__c"})
-
-    def final(bucket: pd.DataFrame) -> pd.DataFrame:
-        g = (bucket.groupby(keys + [val_col], as_index=False)["__c"].sum()
-             .sort_values(keys + [val_col], kind="mergesort"))
-        grp = g.groupby(keys, sort=False)
-        cum = grp["__c"].cumsum().to_numpy(np.int64)
-        n = grp["__c"].transform("sum").to_numpy(np.int64)
-        c = g["__c"].to_numpy(np.int64)
-        kth = np.ceil(np.float64(q) * n.astype(np.float64))
-        pick = (cum >= kth) & ((cum - c) < kth)
-        out = g.loc[pick, keys + [val_col]].rename(
-            columns={val_col: out_col})
-        out["n_rows"] = n[pick]
-        return out
-
-    partials = ds.map_batches(partial, batch_format="pandas")
-    return bucketed_group_apply(partials, keys, final,
-                                num_buckets=num_buckets)
-
-
-def grouped_quantile_disc_oracle_sql(
-    table_sql: str,
-    keys: Sequence[str],
-    val_col: str,
-    q: float,
-    *,
-    out_col: str | None = None,
-) -> str:
-    """DuckDB mirror of :func:`grouped_quantile_disc`."""
-    part = ", ".join(keys)
-    out_col = out_col or f"{val_col}_q"
-    return (
-        f"SELECT {part}, quantile_disc({val_col}, {q!r}) AS {out_col}, "
-        f"CAST(count(*) AS BIGINT) AS n_rows "
-        f"FROM ({table_sql}) GROUP BY {part}")
-
-
 def grouped_top_k_oracle_sql(
     table_sql: str,
     keys: Sequence[str],
@@ -518,45 +384,6 @@ def grouped_standardize_oracle_sql(
         f"END AS {out_col} FROM __t JOIN __m USING ({part})")
 
 
-def grouped_mode(
-    ds: Dataset,
-    keys: Sequence[str],
-    val_col: str,
-    *,
-    n_col: str = "n",
-    num_buckets: int | None = None,
-) -> Dataset:
-    """Most-frequent value per group (deterministic mode: ties go to the
-    SMALLEST value) — "dominant event type per user", "majority language
-    per host".  Pure composition: a distinct-count pre-aggregate (the
-    shuffle sees (keys, val, count) rows, not raw rows) feeding the
-    map-side-pre-trimmed :func:`grouped_top_k` with ``k=1`` and the
-    value itself as the tie-break.  Output: ``keys + [val_col, n_col]``.
-    """
-    counts = grouped_aggregate(ds, list(keys) + [val_col],
-                               {n_col: (val_col, "count")},
-                               num_buckets=num_buckets)
-    return grouped_top_k(counts, keys, n_col, 1, tie_col=val_col,
-                         num_buckets=num_buckets)
-
-
-def grouped_mode_oracle_sql(
-    table_sql: str,
-    keys: Sequence[str],
-    val_col: str,
-    *,
-    n_col: str = "n",
-) -> str:
-    """DuckDB mirror of :func:`grouped_mode`."""
-    part = ", ".join(keys)
-    return (
-        f"SELECT * EXCLUDE (__rn) FROM ("
-        f"SELECT *, row_number() OVER (PARTITION BY {part} "
-        f"ORDER BY {n_col} DESC, {val_col}) AS __rn FROM ("
-        f"SELECT {part}, {val_col}, CAST(count(*) AS BIGINT) AS {n_col} "
-        f"FROM ({table_sql}) GROUP BY {part}, {val_col})) WHERE __rn = 1")
-
-
 def global_rank(
     ds: Dataset,
     cols: Sequence[str],
@@ -640,61 +467,6 @@ def global_rank(
     return bucketed_group_apply(
         ds.map_batches(route, batch_format="pandas"), ["__rb"], body,
         num_buckets=num_buckets)
-
-
-def ntile(
-    ds: Dataset,
-    cols: Sequence[str],
-    n: int,
-    *,
-    out_col: str = "ntile",
-    num_buckets: int | None = None,
-) -> Dataset:
-    """Distributed ``NTILE(n) OVER (ORDER BY cols)`` — equi-depth
-    binning into ``n`` tiles whose sizes differ by at most one (the
-    first ``N mod n`` tiles get the extra row), bit-identical to the
-    SQL window function under the same unique ordering.
-
-    CONTRACT (inherited from :func:`global_rank`): ``cols`` must order
-    rows uniquely and ``cols[0]`` must be numeric and non-null.
-
-    Scale shape: :func:`global_rank`'s three bounded passes + one
-    metadata ``count()`` of the input (free on a parquet read; one
-    plan execution on a derived stream) + a narrow closed-form map —
-    no extra shuffle beyond the rank's single bucketed exchange."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    total = int(ds.count())
-    ranked = global_rank(ds, cols, out_col="__rank",
-                         num_buckets=num_buckets)
-    q, rem = divmod(total, n)
-    cut = rem * (q + 1)  # ranks <= cut live in the (q+1)-sized tiles
-
-    def tile(b: pd.DataFrame) -> pd.DataFrame:
-        r = b["__rank"].to_numpy(dtype=np.int64)
-        if q == 0:
-            t = r  # N < n: every row is its own tile
-        else:
-            t = np.where(r <= cut, (r - 1) // (q + 1) + 1,
-                         rem + (r - cut - 1) // q + 1)
-        b = b.drop(columns="__rank")
-        b[out_col] = t.astype(np.int64)
-        return b
-
-    return ranked.map_batches(tile, batch_format="pandas")
-
-
-def ntile_oracle_sql(
-    table_sql: str,
-    cols: Sequence[str],
-    n: int,
-    *,
-    out_col: str = "ntile",
-) -> str:
-    """DuckDB mirror of :func:`ntile`."""
-    return (f"SELECT *, CAST(ntile({n}) OVER (ORDER BY "
-            f"{', '.join(cols)}) AS BIGINT) AS {out_col} "
-            f"FROM {table_sql}")
 
 
 def global_rank_oracle_sql(
@@ -786,82 +558,6 @@ def weighted_sample_oracle_sql(
         f"ORDER BY __sk DESC, {id_col} LIMIT {k}")
 
 
-def grouped_linreg(
-    ds: Dataset,
-    keys: Sequence[str],
-    x_col: str,
-    y_col: str,
-    *,
-    num_buckets: int | None = None,
-) -> Dataset:
-    """Per-group ordinary-least-squares trend line — ``slope =
-    (n·Σxy − Σx·Σy) / (n·Σx² − (Σx)²)``, ``intercept = (Σy −
-    slope·Σx) / n`` — the "is this host's quality drifting" / per-key
-    trend detector.
-
-    One narrow pass of per-batch ``(keys, n, Σx, Σy, Σxy, Σx²)`` moment
-    partials (tiny rows), ONE bucketed merge, final formula vectorized
-    over the merged table.  On integer-valued inputs every sum is exact
-    in float64 (any summation order), and the final expression is the
-    same chain of correctly-rounded IEEE ops the SQL mirror evaluates —
-    bit-identical parity, like :func:`grouped_standardize`.  Groups
-    with zero x-variance get NULL slope/intercept.  Output:
-    ``keys + (n, slope, intercept)``.
-    """
-    keys = list(keys)
-
-    def moments(b: pd.DataFrame) -> pd.DataFrame:
-        x = b[x_col].to_numpy(dtype=np.float64)
-        y = b[y_col].to_numpy(dtype=np.float64)
-        f = pd.DataFrame({c: b[c] for c in keys})
-        f["__n"], f["__sx"], f["__sy"] = 1.0, x, y
-        f["__sxy"], f["__sxx"] = x * y, x * x
-        return f.groupby(keys, as_index=False).sum()
-
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        m = g.groupby(keys, as_index=False).sum()
-        n = m["__n"].to_numpy()
-        sx, sy = m["__sx"].to_numpy(), m["__sy"].to_numpy()
-        sxy, sxx = m["__sxy"].to_numpy(), m["__sxx"].to_numpy()
-        den = n * sxx - sx * sx
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slope = (n * sxy - sx * sy) / den
-            intercept = (sy - slope * sx) / n
-        out = m[keys].copy()
-        out["n"] = n.astype(np.int64)
-        out["slope"] = np.where(den > 0.0, slope, np.nan)
-        out["intercept"] = np.where(den > 0.0, intercept, np.nan)
-        return out
-
-    partials = ds.map_batches(moments, batch_format="pandas")
-    return bucketed_group_apply(partials, keys, final,
-                                num_buckets=num_buckets)
-
-
-def grouped_linreg_oracle_sql(
-    table_sql: str,
-    keys: Sequence[str],
-    x_col: str,
-    y_col: str,
-) -> str:
-    """DuckDB mirror of :func:`grouped_linreg` — the SAME moment
-    formula (not regr_slope, whose streaming recurrence is near- but
-    not bit-equal on integer inputs)."""
-    part = ", ".join(keys)
-    x = f"CAST({x_col} AS DOUBLE)"
-    y = f"CAST({y_col} AS DOUBLE)"
-    den = "(__n * __sxx - __sx * __sx)"
-    slope = f"(__n * __sxy - __sx * __sy) / {den}"
-    return (
-        f"WITH __m AS (SELECT {part}, CAST(count(*) AS DOUBLE) AS __n, "
-        f"sum({x}) AS __sx, sum({y}) AS __sy, sum({x} * {y}) AS __sxy, "
-        f"sum({x} * {x}) AS __sxx FROM {table_sql} GROUP BY {part}) "
-        f"SELECT {part}, CAST(__n AS BIGINT) AS n, "
-        f"CASE WHEN {den} > 0 THEN {slope} END AS slope, "
-        f"CASE WHEN {den} > 0 THEN (__sy - ({slope}) * __sx) / __n END "
-        f"AS intercept FROM __m")
-
-
 def grouped_corr(
     ds: Dataset,
     keys: Sequence[str],
@@ -872,10 +568,10 @@ def grouped_corr(
 ) -> Dataset:
     """Per-group Pearson correlation — ``r = (n·Σxy − Σx·Σy) /
     sqrt((n·Σx² − (Σx)²)·(n·Σy² − (Σy)²))`` — the feature-association
-    sibling of :func:`grouped_linreg` (is quality correlated with
-    length within each host/language?).
+    check (is quality correlated with length within each
+    host/language?).
 
-    Same scale shape as linreg: one narrow pass of per-batch moment
+    Scale shape: one narrow pass of per-batch moment
     partials ``(keys, n, Σx, Σy, Σxy, Σx², Σy²)`` (tiny rows), ONE
     bucketed merge, final formula vectorized over the merged table.  On
     integer-valued inputs every sum is exact in float64 (any summation
@@ -1020,10 +716,10 @@ def grouped_value_histogram(
     num_buckets: int | None = None,
 ) -> Dataset:
     """Fixed-width histogram of ``col`` PER GROUP — the per-language /
-    per-source distribution report behind per-group threshold tuning
-    (:func:`value_histogram`'s frozen bin rule, so parity stays exact:
-    ``lo <= v < hi``, ``bin = floor((v - lo) / w)``, the identical IEEE
-    double expression in both engines).
+    per-source distribution report behind per-group threshold tuning.
+    Frozen bin rule, so parity stays exact: ``lo <= v < hi``,
+    ``bin = floor((v - lo) / w)``, the identical IEEE double expression
+    in both engines.
 
     Scale shape: per-batch groupby + ``np.bincount`` partials (at most
     ``groups-in-batch x nbins`` rows per batch), ONE tiny grouped
@@ -1096,143 +792,6 @@ GROUP BY ALL
 """
 
 
-def grouped_mad_outliers(
-    ds: Dataset,
-    keys: Sequence[str],
-    col: str,
-    *,
-    k: float = 3.0,
-    num_buckets: int | None = None,
-) -> Dataset:
-    """Robust per-group outlier flag by MEDIAN ABSOLUTE DEVIATION —
-    the heavy-tail-safe alternative to :func:`grouped_standardize`'s
-    z-score (one viral page inflates a host's mean AND stddev; the
-    median and MAD barely move).  Frozen rule: ``med = per-group
-    median of col`` (:func:`grouped_quantile_disc`'s exact
-    ``ceil(q*n)`` discrete quantile), ``mad = per-group median of
-    |v - med|``, outlier iff ``|v - med| > k * mad``.  Intended for
-    integer-valued/quantized columns — every intermediate is then
-    exact, so the SQL oracle matches bit-for-bit (``k * mad`` is one
-    IEEE product on both sides).  Groups with ``mad = 0`` flag every
-    value off the median (the strict-> rule, documented).
-
-    Scale shape: two :func:`grouped_quantile_disc` passes (DISTINCT
-    value-count partials shuffle, raw rows never move) + two broadcast
-    lookups; bodies never shuffle.
-
-    Output: every input column + ``grp_median, grp_mad, abs_dev,
-    is_outlier``."""
-    import ray as _ray
-
-    keys = list(keys)
-    med = grouped_quantile_disc(ds, keys, col, 0.5, out_col="__med",
-                                num_buckets=num_buckets).to_pandas()
-    med_map = {tuple(r[k] for k in keys): r["__med"]
-               for _, r in med.iterrows()}
-    med_ref = _ray.put(med_map)
-
-    def add_dev(b: pd.DataFrame) -> pd.DataFrame:
-        mm = _ray.get(med_ref)
-        kv = list(zip(*(b[k] for k in keys)))
-        gm = np.array([mm[t] for t in kv], dtype=np.float64)
-        out = b.copy()
-        out["grp_median"] = gm
-        out["abs_dev"] = np.abs(b[col].to_numpy(np.float64) - gm)
-        return out
-
-    with_dev = ds.map_batches(add_dev, batch_format="pandas")
-    mad = grouped_quantile_disc(
-        with_dev.select_columns(keys + ["abs_dev"]), keys, "abs_dev",
-        0.5, out_col="__mad", num_buckets=num_buckets).to_pandas()
-    mad_map = {tuple(r[k] for k in keys): r["__mad"]
-               for _, r in mad.iterrows()}
-    mad_ref = _ray.put(mad_map)
-
-    def flag(b: pd.DataFrame) -> pd.DataFrame:
-        mm = _ray.get(mad_ref)
-        kv = list(zip(*(b[k] for k in keys)))
-        gm = np.array([mm[t] for t in kv], dtype=np.float64)
-        out = b.copy()
-        out["grp_mad"] = gm
-        out["is_outlier"] = out["abs_dev"].to_numpy(np.float64) > k * gm
-        return out
-
-    return with_dev.map_batches(flag, batch_format="pandas")
-
-
-def grouped_mad_outliers_oracle_sql(
-    table_sql: str,
-    keys: Sequence[str],
-    col: str,
-    *,
-    k: float = 3.0,
-) -> str:
-    """DuckDB mirror of :func:`grouped_mad_outliers` (quantile_disc ==
-    the engine's exact ceil(q*n) rule, probed in
-    grouped_quantile_disc)."""
-    part = ", ".join(keys)
-    return f"""
-WITH __mo_t AS ({table_sql}),
-__mo_m AS (SELECT {part}, quantile_disc({col}, 0.5) AS med
-           FROM __mo_t GROUP BY {part}),
-__mo_d AS (SELECT __mo_t.*, CAST(med AS DOUBLE) AS grp_median,
-                  abs(CAST({col} AS DOUBLE) - med) AS abs_dev
-           FROM __mo_t JOIN __mo_m USING ({part})),
-__mo_s AS (SELECT {part}, quantile_disc(abs_dev, 0.5) AS mad
-           FROM __mo_d GROUP BY {part})
-SELECT __mo_d.*, CAST(mad AS DOUBLE) AS grp_mad,
-       abs_dev > {k!r} * CAST(mad AS DOUBLE) AS is_outlier
-FROM __mo_d JOIN __mo_s USING ({part})
-"""
-
-
-def grouped_count_distinct(
-    ds: Dataset,
-    keys: Sequence[str],
-    col: str,
-    *,
-    num_buckets: int | None = None,
-) -> Dataset:
-    """EXACT ``COUNT(DISTINCT col)`` per group — the exact twin of
-    ``sketch.grouped_approx_distinct`` for when the distinct codomain
-    per group is small enough to ship (bounded enums, user ids per
-    small key) and the answer must be a number, not an estimate.
-
-    Scale shape: every batch pre-dedups its ``(keys, col)`` pairs
-    (map-side distinct — a million repeats of one value ship once per
-    batch), then ONE bucketed shuffle of the surviving pairs and a
-    vectorized per-group ``nunique``.  The wire cost is the per-group
-    distinct codomain; when that itself is huge, use the HLL sketch.
-
-    Output: ``(*keys, n_distinct: int64)``."""
-    keys = list(keys)
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        return b[keys + [col]].drop_duplicates(ignore_index=True)
-
-    def body(g: pd.DataFrame) -> pd.DataFrame:
-        out = (g.drop_duplicates(keys + [col])
-               .groupby(keys, as_index=False, dropna=False)[col]
-               .size().rename(columns={"size": "n_distinct"}))
-        out["n_distinct"] = out["n_distinct"].astype("int64")
-        return out
-
-    return bucketed_group_apply(
-        ds.map_batches(partial, batch_format="pandas"), keys, body,
-        num_buckets=num_buckets)
-
-
-def grouped_count_distinct_oracle_sql(
-    table_sql: str,
-    keys: Sequence[str],
-    col: str,
-) -> str:
-    """DuckDB mirror of :func:`grouped_count_distinct`."""
-    part = ", ".join(keys)
-    return (f"SELECT {part}, CAST(count(DISTINCT {col}) AS BIGINT) "
-            f"AS n_distinct FROM ({table_sql}) GROUP BY {part}")
-
-
 def grouped_percent_rank(
     ds: Dataset,
     keys: Sequence[str],
@@ -1279,78 +838,6 @@ def grouped_percent_rank_oracle_sql(
     part = ", ".join(keys)
     return (f"SELECT *, percent_rank() OVER (PARTITION BY {part} "
             f"ORDER BY {val_col}) AS {out_col} FROM ({table_sql})")
-
-
-def impute_by_group_median(
-    ds: Dataset,
-    keys: Sequence[str],
-    col: str,
-    *,
-    out_col: str | None = None,
-    num_buckets: int | None = None,
-) -> Dataset:
-    """Fill NULLs in ``col`` with the GROUP's median — the standard
-    robust imputation for feature columns before scoring/training
-    (a host's missing text-density gets its host's typical value, not
-    the corpus's).  The median is :func:`grouped_quantile_disc`'s
-    exact discrete quantile over the NON-NULL values (DuckDB's
-    ``quantile_disc`` ignores NULLs, probed); a group that is entirely
-    NULL stays NULL (no global fallback — explicit is better).
-
-    Scale shape: one distinct-count quantile pass (raw rows never
-    move) -> bounded per-group table broadcast via ``ray.put`` -> one
-    narrow fill map; bodies never shuffle.
-
-    Output: every input column, with ``out_col`` (default: ``col``
-    filled in place) plus ``was_imputed``."""
-    import ray as _ray
-
-    keys = list(keys)
-    out_col = out_col or col
-
-    def non_null(b: pd.DataFrame) -> pd.DataFrame:
-        return b.loc[b[col].notna(), keys + [col]]
-
-    med = grouped_quantile_disc(
-        ds.map_batches(non_null, batch_format="pandas"), keys, col, 0.5,
-        out_col="__med", num_buckets=num_buckets).to_pandas()
-    med_map = {tuple(r[k] for k in keys): r["__med"]
-               for _, r in med.iterrows()}
-    med_ref = _ray.put(med_map)
-
-    def fill(b: pd.DataFrame) -> pd.DataFrame:
-        mm = _ray.get(med_ref)
-        kv = list(zip(*(b[k] for k in keys)))
-        gm = pd.Series([mm.get(t) for t in kv], index=b.index)
-        miss = b[col].isna()
-        out = b.copy()
-        out[out_col] = b[col].where(~miss, gm)
-        out["was_imputed"] = (miss & gm.notna()).to_numpy()
-        return out
-
-    return ds.map_batches(fill, batch_format="pandas")
-
-
-def impute_by_group_median_oracle_sql(
-    table_sql: str,
-    keys: Sequence[str],
-    col: str,
-    *,
-    out_col: str | None = None,
-) -> str:
-    """DuckDB mirror of :func:`impute_by_group_median`."""
-    part = ", ".join(keys)
-    out_col = out_col or col
-    excl = f" EXCLUDE ({col})" if out_col == col else ""
-    return f"""
-WITH __im_t AS ({table_sql}),
-__im_m AS (SELECT {part}, quantile_disc({col}, 0.5) AS med
-           FROM __im_t WHERE {col} IS NOT NULL GROUP BY {part})
-SELECT __im_t.*{excl},
-       coalesce({col}, med) AS {out_col},
-       ({col} IS NULL AND med IS NOT NULL) AS was_imputed
-FROM __im_t LEFT JOIN __im_m USING ({part})
-"""
 
 
 def rendezvous_assign(
@@ -1445,92 +932,6 @@ FROM __rv_r WHERE rn = 1
 """
 
 
-def grouped_weighted_median(
-    ds: Dataset,
-    keys: Sequence[str],
-    val_col: str,
-    weight_col: str,
-    *,
-    num_buckets: int | None = None,
-) -> Dataset:
-    """Exact WEIGHTED lower median per group — the token-weighted /
-    traffic-weighted center every unweighted median misreads (a host's
-    median response weighted by hits, a language's median doc length
-    weighted by tokens).
-
-    Frozen rule (mirrored by :func:`grouped_weighted_median_oracle_sql`):
-    with integer weights summed per distinct value and values ascending,
-    the weighted median is the SMALLEST value whose cumulative weight
-    reaches half the total (``2·cumw >= W``) — the lower weighted
-    median, exact integer arithmetic throughout.  Rows with
-    ``weight <= 0`` are dropped.  Output: ``(keys..., weighted_median,
-    total_w)``.
-
-    Scale shape: per-batch (keys, value) weight partials shrink the
-    shuffle to the distinct-value codomain per group; ONE bucketed
-    merge sorts each group's bounded value table and scans the
-    cumulative sum."""
-    keys = list(keys)
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        w = b[weight_col].to_numpy(np.int64)
-        f = pd.DataFrame({c: b[c] for c in keys})
-        f["__v"] = b[val_col].to_numpy(np.int64)
-        f["__w"] = w
-        f = f[w > 0]
-        return f.groupby(keys + ["__v"], as_index=False)["__w"].sum()
-
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.groupby(keys + ["__v"], as_index=False)["__w"].sum()
-        g = g.sort_values(keys + ["__v"], kind="mergesort")
-        seg = g.groupby(keys, sort=False).ngroup().to_numpy(np.int64)
-        w = g["__w"].to_numpy(np.int64)
-        cw = pd.Series(w).groupby(seg).cumsum().to_numpy(np.int64)
-        tw = pd.Series(w).groupby(seg).transform("sum").to_numpy(np.int64)
-        hit = 2 * cw >= tw
-        # first hit per segment: segment-local cummax shifted WITHIN
-        # the segment (a global shift would leak the previous group's
-        # True across the boundary)
-        cm = pd.Series(hit).groupby(seg).cummax()
-        prev = cm.groupby(seg).shift(1, fill_value=False)
-        first = hit & ~prev.to_numpy(dtype=bool)
-        out = g.loc[first, keys].copy()
-        out["weighted_median"] = g.loc[first, "__v"].to_numpy(np.int64)
-        out["total_w"] = tw[first]
-        return out
-
-    partials = ds.map_batches(partial, batch_format="pandas")
-    return bucketed_group_apply(partials, keys, final,
-                                num_buckets=num_buckets)
-
-
-def grouped_weighted_median_oracle_sql(
-    table_sql: str,
-    keys: Sequence[str],
-    val_col: str,
-    weight_col: str,
-) -> str:
-    """DuckDB mirror of :func:`grouped_weighted_median`."""
-    ks = ", ".join(keys)
-    return f"""
-WITH __wm_c AS (
-  SELECT {ks}, {val_col} AS v, sum({weight_col}) AS w
-  FROM ({table_sql}) WHERE {weight_col} > 0 GROUP BY {ks}, {val_col}
-),
-__wm_s AS (
-  SELECT *, sum(w) OVER (PARTITION BY {ks} ORDER BY v
-                         ROWS UNBOUNDED PRECEDING) AS cw,
-         sum(w) OVER (PARTITION BY {ks}) AS tw
-  FROM __wm_c
-)
-SELECT {ks},
-       CAST(min(v) FILTER (WHERE 2 * cw >= tw) AS BIGINT)
-         AS weighted_median,
-       CAST(max(tw) AS BIGINT) AS total_w
-FROM __wm_s GROUP BY {ks}
-"""
-
-
 def grouped_minmax_scale(
     ds: Dataset,
     keys: Sequence[str],
@@ -1598,81 +999,3 @@ def grouped_minmax_scale_oracle_sql(
         f"SELECT *, CASE WHEN {hi} > {lo} THEN "
         f"({v} - {lo}) / ({hi} - {lo}) END AS {out_col} "
         f"FROM ({table_sql})")
-
-
-def grouped_hhi(
-    ds: Dataset,
-    keys: Sequence[str],
-    cat_col: str,
-    *,
-    num_buckets: int | None = None,
-) -> Dataset:
-    """Herfindahl-Hirschman concentration index per group: ``sum over
-    categories of (n_cat / n_total)^2`` — 1.0 = one category owns the
-    group (a host serving one template, a user firing one event type),
-    1/k = perfectly even over k.  The concentration twin of the Gini
-    report, standard market-concentration math (public formula).
-
-    Scale shape: map-side ``(keys, cat) -> n`` integer partials, ONE
-    grouped merge, then a per-group single pass over the bounded
-    (keys, cat) count table.  Integer counts -> the share squares and
-    their sum are the only float ops; summation order is frozen by
-    sorting on ``cat`` inside the bucket (identical in the SQL mirror
-    via ORDER BY inside list aggregation... the mirror instead uses
-    round 6, absorbing sum order).  Output: ``keys + (n_total, n_cats,
-    hhi)`` with ``hhi`` rounded to 6."""
-    from pdf_extract_ray.util import round_half_away
-
-    keys = list(keys)
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        f = pd.DataFrame({k: b[k] for k in keys})
-        f["__cat"] = b[cat_col]
-        f["__n"] = np.int64(1)
-        return f.groupby(keys + ["__cat"], as_index=False).sum()
-
-    counts = grouped_aggregate(
-        ds.map_batches(partial, batch_format="pandas"),
-        keys + ["__cat"], {"__n": ("__n", "sum")},
-        num_buckets=num_buckets)
-
-    def finish(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(keys + ["__cat"], kind="mergesort")
-        tot = g.groupby(keys, as_index=False)["__n"].sum().rename(
-            columns={"__n": "n_total"})
-        j = g.merge(tot, on=keys, how="left", sort=False)
-        j["__sq"] = (j["__n"].to_numpy(np.float64)
-                     / j["n_total"].to_numpy(np.float64)) ** 2
-        out = j.groupby(keys, as_index=False).agg(
-            n_total=("n_total", "first"), n_cats=("__n", "count"),
-            __hhi=("__sq", "sum"))
-        out["hhi"] = round_half_away(out.pop("__hhi"), 6)
-        out["n_total"] = out["n_total"].astype("int64")
-        out["n_cats"] = out["n_cats"].astype("int64")
-        return out
-
-    return bucketed_group_apply(counts, keys, finish,
-                                num_buckets=num_buckets)
-
-
-def grouped_hhi_oracle_sql(
-    table_sql: str,
-    keys: Sequence[str],
-    cat_col: str,
-) -> str:
-    """DuckDB mirror of :func:`grouped_hhi` (round 6 absorbs float-sum
-    order across the per-category share squares)."""
-    part = ", ".join(keys)
-    return f"""
-WITH __h_c AS (SELECT {part}, {cat_col} AS cat,
-                      CAST(count(*) AS BIGINT) AS n
-               FROM ({table_sql}) GROUP BY {part}, {cat_col}),
-__h_t AS (SELECT {part}, CAST(sum(n) AS BIGINT) AS n_total,
-                 CAST(count(*) AS BIGINT) AS n_cats
-          FROM __h_c GROUP BY {part})
-SELECT t.{part.replace(', ', ', t.')}, t.n_total, t.n_cats,
-       round(sum((CAST(c.n AS DOUBLE) / CAST(t.n_total AS DOUBLE)) ^ 2),
-             6) AS hhi
-FROM __h_c c JOIN __h_t t USING ({part})
-GROUP BY t.{part.replace(', ', ', t.')}, t.n_total, t.n_cats
-"""

@@ -86,92 +86,3 @@ def pii_oracle_ctes(source_sql: str, text_expr: str = "text",
     sql += (f" SELECT {id_cols}, " + ", ".join(count_cols)
             + f", __t AS redacted_text FROM {prev}")
     return sql
-
-
-def k_anonymity_audit(
-    ds,
-    qi_cols,
-    *,
-    k: int,
-    num_buckets: int | None = None,
-):
-    """k-anonymity audit over quasi-identifier columns — the release
-    gate run before publishing event/user-derived corpora: a row is
-    k-anonymous iff at least ``k`` rows share its full quasi-identifier
-    combination, so any combination with ``n < k`` re-identifies a
-    too-small cohort and must be suppressed or generalized.
-
-    Returns the VIOLATING combinations ``(qi..., n)`` with ``n < k`` —
-    the actionable output (the suppress/generalize worklist), bounded by
-    construction (each violating group carries < k rows, and the audit
-    is run to drive that count to zero).
-
-    Scale shape: ONE grouped integer count over the quasi-identifier
-    key with map-side partials, then a narrow filter on the bounded
-    aggregate — raw rows never move."""
-    import numpy as np  # noqa: F401
-
-    from pdf_extract_ray.stages.agg import grouped_aggregate
-
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    qi_cols = list(qi_cols)
-    cnt = grouped_aggregate(
-        ds.select_columns(qi_cols), qi_cols,
-        {"n": (qi_cols[0], "count")}, num_buckets=num_buckets)
-    return cnt.filter(lambda r, _k=k: r["n"] < _k)
-
-
-def k_anonymity_audit_oracle_sql(table_sql: str, qi_cols, *, k: int) -> str:
-    """DuckDB mirror of :func:`k_anonymity_audit`."""
-    qi = ", ".join(qi_cols)
-    return f"""
-SELECT {qi}, CAST(count(*) AS BIGINT) AS n
-FROM ({table_sql}) GROUP BY {qi} HAVING count(*) < {int(k)}
-"""
-
-
-def l_diversity_audit(
-    ds,
-    qi_cols,
-    sensitive_col: str,
-    *,
-    l: int,
-    num_buckets: int | None = None,
-):
-    """l-diversity audit — the companion gate to :func:`k_anonymity_audit`
-    (Machanavajjhala et al. 2007, public method): a quasi-identifier
-    cohort can be large enough for k-anonymity yet still leak if every
-    member shares one sensitive value, so each cohort must contain at
-    least ``l`` DISTINCT sensitive values.  Returns the violating
-    combinations ``(qi..., n_distinct)`` with ``n_distinct < l`` —
-    bounded output by the same to-be-driven-to-zero argument.
-
-    Scale shape: two grouped integer aggregates — the first collapses
-    to DISTINCT ``(qi..., sensitive)`` pairs with map-side partials (the
-    exact-COUNT(DISTINCT) shape of ``distinct_users_exact``), the
-    second counts pairs per cohort; raw rows never move."""
-    from pdf_extract_ray.stages.agg import grouped_aggregate
-
-    if l < 2:
-        raise ValueError("l must be >= 2")
-    qi_cols = list(qi_cols)
-    pairs = grouped_aggregate(
-        ds.select_columns(qi_cols + [sensitive_col]),
-        qi_cols + [sensitive_col],
-        {"__n": (sensitive_col, "count")}, num_buckets=num_buckets)
-    cnt = grouped_aggregate(
-        pairs, qi_cols, {"n_distinct": (sensitive_col, "count")},
-        num_buckets=num_buckets)
-    return cnt.filter(lambda r, _l=l: r["n_distinct"] < _l)
-
-
-def l_diversity_audit_oracle_sql(table_sql: str, qi_cols,
-                                 sensitive_col: str, *, l: int) -> str:
-    """DuckDB mirror of :func:`l_diversity_audit`."""
-    qi = ", ".join(qi_cols)
-    return f"""
-SELECT {qi}, CAST(count(DISTINCT {sensitive_col}) AS BIGINT) AS n_distinct
-FROM ({table_sql}) GROUP BY {qi}
-HAVING count(DISTINCT {sensitive_col}) < {int(l)}
-"""

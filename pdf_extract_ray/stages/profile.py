@@ -115,66 +115,3 @@ UNION ALL SELECT 'avg_chars', round(sum(length(t)) /
 UNION ALL SELECT 'avg_words', round(sum(w) /
   greatest(count(*), 1), 4) FROM lc
 """
-
-
-def count_gini(
-    ds: Dataset,
-    keys,
-    *,
-    num_buckets: int | None = None,
-) -> pd.DataFrame:
-    """Gini coefficient of the per-key row-count distribution — the
-    corpus-concentration readout ("is the crawl 90% three hosts?"; a
-    balanced training mix wants this LOW, and dedup/host-cap stages
-    want it measured before and after).
-
-    Frozen rule (mirrored by :func:`count_gini_oracle_sql`): counts
-    sorted ascending get ranks ``i = 1..G``; ``gini = (2·Σ i·x_i −
-    (G+1)·Σ x) / (G·Σ x)`` — the numerator and denominator are exact
-    int64 (tie order is irrelevant: tied counts contribute the same sum
-    under any rank permutation), and the single division is the only
-    float op on either side.  Output: one row ``(n_groups, n_rows,
-    gini)``.
-
-    Scale shape: ONE grouped integer count with map-side partials; the
-    rank-and-sum finish runs on the per-key count table, bounded by the
-    number of distinct keys (hosts/users/languages — the operator's
-    intended key granularity), NOT the corpus."""
-    from pdf_extract_ray.stages.agg import grouped_aggregate
-
-    keys = list(keys)
-    cnt = grouped_aggregate(
-        ds.select_columns(keys), keys, {"n": (keys[0], "count")},
-        num_buckets=num_buckets,
-    ).to_pandas()  # bounded by #distinct keys by construction
-
-    x = np.sort(cnt["n"].to_numpy(np.int64))
-    g = np.int64(len(x))
-    tot = np.int64(x.sum())
-    i = np.arange(1, g + 1, dtype=np.int64)
-    num = np.int64(2) * np.int64((i * x).sum()) - (g + 1) * tot
-    den = g * tot
-    return pd.DataFrame({
-        "n_groups": [np.int64(g)],
-        "n_rows": [tot],
-        "gini": [np.float64(num) / np.float64(den)],
-    })
-
-
-def count_gini_oracle_sql(table_sql: str, keys) -> str:
-    """DuckDB mirror of :func:`count_gini` (identical integer
-    numerator/denominator, one division)."""
-    ksel = ", ".join(keys)
-    return f"""
-WITH __gini_c AS (
-  SELECT {ksel}, count(*) AS n FROM ({table_sql}) GROUP BY {ksel}
-),
-__gini_r AS (
-  SELECT n, row_number() OVER (ORDER BY n) AS i FROM __gini_c
-)
-SELECT CAST(count(*) AS BIGINT) AS n_groups,
-       CAST(sum(n) AS BIGINT) AS n_rows,
-       CAST(2 * sum(i * n) - (count(*) + 1) * sum(n) AS DOUBLE)
-         / CAST(count(*) * sum(n) AS DOUBLE) AS gini
-FROM __gini_r
-"""

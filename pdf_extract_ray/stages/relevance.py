@@ -463,10 +463,9 @@ def unigram_js_drift(
     min_count: int = 5,
     num_buckets: int | None = None,
 ) -> Dataset:
-    """Per-word Jensen-Shannon drift terms between two corpus slices —
-    the vocabulary-level companion to the categorical PSI readout
-    (:func:`~pdf_extract_ray.stages.experiment.psi_drift`): "which words
-    moved between crawl A and crawl B / source A and source B".
+    """Per-word Jensen-Shannon drift terms between two corpus slices:
+    "which words moved between crawl A and crawl B / source A and
+    source B".
     ``snap_col`` must be 0/1 integers (A = 0, B = 1).
 
     Per word, with exact int64 counts ``n_a``/``n_b`` and slice token

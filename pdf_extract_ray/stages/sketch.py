@@ -104,160 +104,6 @@ def approx_distinct(ds: Dataset, col: str, *, p: int = 12) -> float:
     return acc.estimate()
 
 
-# --- deterministic mergeable quantile histogram (HDR-histogram shape) ---
-#
-# The exact per-key quantile (`bucketed_group_apply` + pandas quantile)
-# ships EVERY value of a key group through the shuffle — with a handful
-# of hot keys over 10^12 rows that is the skew bottleneck.  This sketch
-# is the scale path: per-batch counts into fixed log-spaced magnitude
-# bins (map-side, pre-aggregated), ONE tiny (key, bin, n) shuffle, and a
-# per-key interpolation over at most ``2*decades*bins_per_decade + 1``
-# int64 counters.  Merging is integer vector addition — associative and
-# commutative — so the distributed estimate equals the single-process
-# reference EXACTLY (a determinism freeze; accuracy vs the true quantile
-# is bounded by the bin ratio ``10**(1/(2*bins_per_decade))`` and
-# asserted separately in pytest).
-#
-# Frozen rules:
-# * non-finite values are dropped;
-# * |v| < min_abs (including 0) maps to the zero bin, estimate 0.0;
-# * magnitudes clip into [min_abs, min_abs*10**decades) — overflow
-#   saturates at the top bin;
-# * signed bin ordinal: negatives mirror positives below zero, so
-#   ascending ordinal == ascending value;
-# * the q-quantile is the representative (geometric bin midpoint) of the
-#   bin holding rank floor(q*(n-1)) — "lower" interpolation.
-
-QH_BINS_PER_DECADE = 32
-QH_MIN_ABS = 1e-9
-QH_DECADES = 21  # magnitudes [1e-9, 1e12)
-
-
-def qh_bin_ordinals(values, *, bins_per_decade: int = QH_BINS_PER_DECADE,
-                    min_abs: float = QH_MIN_ABS,
-                    decades: int = QH_DECADES) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized value -> signed bin ordinal.  Returns ``(ordinals,
-    keep_mask)`` where ``keep_mask`` drops non-finite inputs."""
-    v = np.asarray(values, np.float64)
-    keep = np.isfinite(v)
-    out = np.zeros(len(v), np.int64)
-    absv = np.abs(v)
-    nz = keep & (absv >= min_abs)
-    mag = np.floor(np.log10(absv[nz] / min_abs) * bins_per_decade)
-    mag = np.clip(mag, 0, bins_per_decade * decades - 1).astype(np.int64)
-    out[nz] = np.where(v[nz] > 0, mag + 1, -(mag + 1))
-    return out, keep
-
-
-def qh_representative(ordinals, *,
-                      bins_per_decade: int = QH_BINS_PER_DECADE,
-                      min_abs: float = QH_MIN_ABS) -> np.ndarray:
-    """Signed bin ordinal -> representative value (geometric midpoint)."""
-    o = np.asarray(ordinals, np.int64)
-    mag = np.abs(o).astype(np.float64)
-    rep = min_abs * 10.0 ** ((mag - 0.5) / bins_per_decade)
-    return np.where(o == 0, 0.0, np.sign(o) * rep)
-
-
-def _qh_quantiles_from_counts(ordinals: np.ndarray, counts: np.ndarray,
-                              qs, *, bins_per_decade: int,
-                              min_abs: float) -> np.ndarray:
-    order = np.argsort(ordinals, kind="stable")
-    o, c = ordinals[order], counts[order]
-    cum = np.cumsum(c)
-    n = int(cum[-1])
-    ranks = np.floor(np.asarray(qs, np.float64) * (n - 1)).astype(np.int64)
-    idx = np.searchsorted(cum, ranks, side="right")
-    return qh_representative(o[idx], bins_per_decade=bins_per_decade,
-                             min_abs=min_abs)
-
-
-def approx_quantiles(
-    ds: Dataset,
-    keys: list[str],
-    value_col: str,
-    qs=(0.5, 0.9, 0.99),
-    *,
-    names: list[str] | None = None,
-    bins_per_decade: int = QH_BINS_PER_DECADE,
-    min_abs: float = QH_MIN_ABS,
-    decades: int = QH_DECADES,
-    round_digits: int | None = 4,
-    num_buckets: int | None = None,
-) -> Dataset:
-    """Approximate per-key quantiles: map-side histogram partials + one
-    (key, bin, n) shuffle + per-key interpolation.  Values never move."""
-    from pdf_extract_ray.stages.agg import (bucketed_group_apply,
-                                            grouped_aggregate)
-    from pdf_extract_ray.util import round_half_away
-
-    names = names or [f"p{int(q * 100)}" for q in qs]
-    qs = tuple(float(q) for q in qs)
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        ords, keep = qh_bin_ordinals(
-            b[value_col].to_numpy(np.float64),
-            bins_per_decade=bins_per_decade, min_abs=min_abs,
-            decades=decades)
-        d = pd.DataFrame({k: b[k].to_numpy()[keep] for k in keys})
-        d["qbin"] = ords[keep]
-        return d.groupby(keys + ["qbin"], sort=False).size().reset_index(
-            name="n")
-
-    merged = grouped_aggregate(
-        ds.map_batches(partial, batch_format="pandas"),
-        keys + ["qbin"], {"n": ("n", "sum")})
-
-    def body(bucket: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for kv, g in bucket.groupby(keys, sort=False):
-            est = _qh_quantiles_from_counts(
-                g["qbin"].to_numpy(np.int64), g["n"].to_numpy(np.int64),
-                qs, bins_per_decade=bins_per_decade, min_abs=min_abs)
-            if round_digits is not None:
-                est = round_half_away(est, round_digits)
-            kv = kv if isinstance(kv, tuple) else (kv,)
-            rows.append(dict(zip(keys, kv)) | dict(zip(names, est)))
-        return pd.DataFrame(rows, columns=keys + names)
-
-    return bucketed_group_apply(merged, keys, body, num_buckets=num_buckets)
-
-
-def approx_quantiles_reference(
-    df: pd.DataFrame,
-    keys: list[str],
-    value_col: str,
-    qs=(0.5, 0.9, 0.99),
-    *,
-    names: list[str] | None = None,
-    bins_per_decade: int = QH_BINS_PER_DECADE,
-    min_abs: float = QH_MIN_ABS,
-    decades: int = QH_DECADES,
-    round_digits: int | None = 4,
-) -> pd.DataFrame:
-    """Independent single-process implementation of the same frozen
-    rules (plain pandas/numpy, no Ray, no shuffle) — golden generator
-    and determinism check for :func:`approx_quantiles`."""
-    from pdf_extract_ray.util import round_half_away
-
-    names = names or [f"p{int(q * 100)}" for q in qs]
-    rows = []
-    for kv, g in df.groupby(keys, sort=False):
-        ords, keep = qh_bin_ordinals(
-            g[value_col].to_numpy(np.float64),
-            bins_per_decade=bins_per_decade, min_abs=min_abs,
-            decades=decades)
-        o, c = np.unique(ords[keep], return_counts=True)
-        est = _qh_quantiles_from_counts(
-            o, c.astype(np.int64), qs,
-            bins_per_decade=bins_per_decade, min_abs=min_abs)
-        if round_digits is not None:
-            est = round_half_away(est, round_digits)
-        kv = kv if isinstance(kv, tuple) else (kv,)
-        rows.append(dict(zip(keys, kv)) | dict(zip(names, est)))
-    return pd.DataFrame(rows, columns=keys + names)
-
-
 # --- count-min sketch (Cormode & Muthukrishnan 2005, public paper) ---
 #
 # Frequency estimation over key spaces too large to count exactly
@@ -410,10 +256,9 @@ def grouped_approx_distinct(
 
     Register max-merge is associative and commutative and the hash is
     deterministic, so the distributed result equals a single-process
-    sketch of the same column EXACTLY at any parallelism — the
-    determinism freeze the ``grouped_distinct_users`` golden checks;
-    accuracy vs the exact count is a pytest property (~1.6% typical
-    error at p=12).
+    sketch of the same column EXACTLY at any parallelism; accuracy vs
+    the exact count is a pytest property (~1.6% typical error at
+    p=12).
 
     Output: ``(*keys, approx_distinct: float64)``."""
     from pdf_extract_ray.stages.agg import bucketed_group_apply

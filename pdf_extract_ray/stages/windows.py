@@ -1,206 +1,13 @@
-"""Stream-shaped windowing over an ordered, partitioned log (guide pattern;
-the reference is strictly batch — SURVEY.md §2.9 — so these are the
-engine's streaming-analogue extensions).
-
-Windows are computed per key over ts-sorted groups inside the bucketed
-grouped shuffle (stages/agg.py): tumbling windows reduce to a derived
-key + grouped aggregate; session windows need the sorted scan below.
+"""Ordered self-pairing without a join: :func:`adjacent_pairs` pairs
+each row with its successor on an integer order column inside the
+bucketed grouped shuffle (stages/agg.py).
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
-import pyarrow as pa
 
 from ray.data import Dataset
-
-from pdf_extract_ray.util import round_half_away
-
-
-def _sort_order(primary: np.ndarray, secondary: np.ndarray) -> np.ndarray:
-    """Stable (primary, secondary) sort permutation.  ``np.lexsort``
-    rejects object (string) arrays, so those are rank-encoded first —
-    the ranks order identically to the strings."""
-    if primary.dtype.kind == "O":
-        primary = np.unique(primary, return_inverse=True)[1]
-    if secondary.dtype.kind == "O":
-        secondary = np.unique(secondary, return_inverse=True)[1]
-    return np.lexsort((secondary, primary))
-
-
-def sessionize(
-    events: Dataset,
-    *,
-    key_col: str = "user_id",
-    ts_col: str = "ts",
-    value_col: str = "value",
-    gap: pd.Timedelta = pd.Timedelta(minutes=30),
-    num_buckets: int | None = None,
-) -> Dataset:
-    """Session windows: a new session starts when the gap to the previous
-    event of the same key exceeds ``gap``.  Output: one row per
-    (key, session_id) with start/end/count/sum; session_id is 1-based in
-    ts order (deterministic at any parallelism — the per-key scan happens
-    after an explicit in-bucket sort).
-
-    The bucket body is Arrow-native (round-3 judge item 8): the group
-    block never converts to pandas — segment boundaries, per-session
-    reduceat sums and min/max all run on numpy views of the Arrow
-    columns.  Per-session sums accumulate sequentially in sorted row
-    order (``np.add.reduceat``), the same order the previous pandas
-    groupby-sum used, so outputs are bit-identical (A/B-tested)."""
-    from pdf_extract_ray.stages.agg import bucketed_group_apply
-
-    gap64 = gap.to_timedelta64()
-
-    def per_bucket(t: pa.Table) -> pa.Table:
-        key = t.column(key_col).to_numpy(zero_copy_only=False)
-        ts = t.column(ts_col).to_numpy(zero_copy_only=False)
-        val = t.column(value_col).to_numpy(zero_copy_only=False)
-        if val.dtype.kind == "f":
-            val = np.nan_to_num(val, nan=0.0)  # pandas-sum skipna parity
-        order = _sort_order(key, ts)
-        key, ts, val = key[order], ts[order], val[order]
-        n = len(key)
-        brk = np.empty(n, dtype=bool)
-        brk[0] = True
-        new_key = key[1:] != key[:-1]
-        brk[1:] = new_key | ((ts[1:] - ts[:-1]) > gap64)
-        seg = np.cumsum(brk)                       # bucket-wide segment no.
-        kstart = np.empty(n, dtype=bool)
-        kstart[0] = True
-        kstart[1:] = new_key
-        ks = np.flatnonzero(kstart)
-        # session_id restarts per key: segment no. minus the key's first
-        first_seg = np.repeat(seg[ks], np.diff(np.append(ks, n)))
-        sid = seg - first_seg + 1
-        gs = np.flatnonzero(brk)                   # session starts
-        ge = np.append(gs[1:], n)                  # session ends (excl.)
-        return pa.table({
-            key_col: pa.array(key[gs]),
-            "session_id": pa.array(sid[gs].astype(np.int64)),
-            "session_start": pa.array(ts[gs]),
-            "session_end": pa.array(ts[ge - 1]),   # ts-sorted within key
-            "n_events": pa.array((ge - gs).astype(np.int64)),
-            "sum_value": pa.array(round_half_away(
-                np.add.reduceat(val, gs), 2)),
-        })
-
-    return bucketed_group_apply(events, [key_col], per_bucket,
-                                num_buckets=num_buckets,
-                                body_format="pyarrow")
-
-
-def hopping_window(
-    events: Dataset,
-    *,
-    key_col: str = "user_id",
-    ts_col: str = "ts",
-    value_col: str = "value",
-    size: pd.Timedelta = pd.Timedelta(hours=1),
-    hop: pd.Timedelta = pd.Timedelta(minutes=30),
-    num_buckets: int | None = None,
-) -> Dataset:
-    """Hopping (sliding) windows: every event belongs to the ``size/hop``
-    windows covering it; per-(key, window_start) count/sum rollup.
-
-    Scale shape: window assignment is a map-side EXPLODE (each row emits
-    size/hop copies tagged with its window starts — small constant), then
-    the standard map-side-partial + bucketed grouped aggregate; no sort,
-    no per-window state."""
-    if size % hop != pd.Timedelta(0):
-        raise ValueError("size must be a multiple of hop")
-    n_hops = size // hop
-    hop_us = hop.value // 1000
-
-    from pdf_extract_ray.stages.agg import grouped_aggregate
-
-    def explode(b: pd.DataFrame) -> pd.DataFrame:
-        # normalize to us epoch regardless of the column's datetime unit
-        ts_us = b[ts_col].astype("datetime64[us]").astype("int64")
-        base = (ts_us // hop_us) * hop_us          # latest window start
-        parts = []
-        for k in range(n_hops):
-            w = base - k * hop_us
-            parts.append(pd.DataFrame({
-                key_col: b[key_col].to_numpy(),
-                "window_start": w.to_numpy(),
-                value_col: b[value_col].to_numpy(),
-            }))
-        return pd.concat(parts, ignore_index=True)
-
-    out = grouped_aggregate(
-        events.map_batches(explode, batch_format="pandas"),
-        [key_col, "window_start"],
-        {"n_events": (key_col, "count"), "sum_value": (value_col, "sum")},
-        num_buckets=num_buckets,
-    )
-
-    def finish(b: pd.DataFrame) -> pd.DataFrame:
-        b["window_start"] = pd.to_datetime(b["window_start"], unit="us")
-        b["sum_value"] = round_half_away(b["sum_value"], 2)
-        return b
-
-    return out.map_batches(finish, batch_format="pandas")
-
-
-def grouped_lag(
-    ds: Dataset,
-    keys: list[str],
-    order_cols: list[str],
-    value_col: str,
-    *,
-    out_col: str = "prev_value",
-    periods: int = 1,
-    num_buckets: int | None = None,
-) -> Dataset:
-    """LAG(value) OVER (PARTITION BY keys ORDER BY order_cols): one
-    bucketed shuffle co-locates each key's rows, then a vectorized sorted
-    shift per bucket.  ``order_cols`` must order rows uniquely within a
-    key or the lag target is ambiguous (same contract as SQL).
-
-    Arrow-native bucket body (round-3 judge item 8): the shifted value
-    lands as a NULL-masked Arrow array — the same nulls the previous
-    pandas ``groupby.shift`` NaNs became at block conversion — and the
-    pass-through columns are Arrow ``take``s (zero string copies)."""
-    from pdf_extract_ray.stages.agg import bucketed_group_apply
-
-    def per_bucket(t: pa.Table) -> pa.Table:
-        cols = [t.column(c).to_numpy(zero_copy_only=False)
-                for c in list(keys) + list(order_cols)]
-        enc = [np.unique(c, return_inverse=True)[1]
-               if c.dtype.kind == "O" else c for c in cols]
-        order = np.lexsort(tuple(reversed(enc)))
-        n, p = len(order), periods
-        if p >= n:
-            same_key = np.zeros(n, dtype=bool)  # no row has an i-p peer
-        else:
-            same_key = np.ones(n, dtype=bool)   # row i vs row i-p
-            same_key[:p] = False
-            for c in cols[: len(keys)]:
-                kc = c[order]
-                same_key[p:] &= kc[p:] == kc[:-p]
-        val = t.column(value_col).to_numpy(zero_copy_only=False)[order]
-        if val.dtype.kind == "O":  # strings: None-filled object path
-            lag = np.empty(n, dtype=object)
-            if p < n:
-                lag[p:] = val[:-p]
-            lag[~same_key] = None
-            lag_arr = pa.array(lag)
-        else:
-            # int lags upcast to float64 (the dtype pandas shift NaNs
-            # forced), masked-null where no same-key i-p peer exists
-            lag = np.zeros(n, dtype=val.dtype if val.dtype.kind != "i"
-                           else np.float64)
-            if p < n:
-                lag[p:] = val[:-p]
-            lag_arr = pa.array(lag, mask=~same_key)
-        return t.take(pa.array(order)).append_column(out_col, lag_arr)
-
-    return bucketed_group_apply(ds, keys, per_bucket,
-                                num_buckets=num_buckets,
-                                body_format="pyarrow")
 
 
 def adjacent_pairs(
@@ -225,8 +32,6 @@ def adjacent_pairs(
     i where i+1 exists — identical to an inner self-join on
     ``right.order_col == left.order_col + 1``, at one shuffle of the data
     with no join build side.  Contract: ``order_col`` values are unique."""
-    import numpy as np
-
     from pdf_extract_ray.stages.agg import bucketed_group_apply
 
     def route(b: pd.DataFrame) -> pd.DataFrame:
@@ -266,509 +71,3 @@ def adjacent_pairs(
         ds.map_batches(route, batch_format="pandas"), ["__rb"], pair,
         num_buckets=num_buckets, pre_batch_size=pre_batch_size,
     )
-
-
-_ROLL_OPS = ("sum", "mean", "min", "max")
-
-
-def grouped_rolling(
-    ds: Dataset,
-    keys: list[str],
-    order_cols: list[str],
-    value_col: str,
-    ops: dict[str, str],
-    *,
-    window: int | None = None,
-    num_buckets: int | None = None,
-) -> Dataset:
-    """Per-key sliding-window aggregates over a row ordering — SQL
-    ``op(v) OVER (PARTITION BY keys ORDER BY order_cols ROWS BETWEEN
-    {window-1} PRECEDING AND CURRENT ROW)``; ``window=None`` is the
-    running/cumulative form (``ROWS UNBOUNDED PRECEDING``).
-
-    ``ops``: out_col -> op in {sum, mean, min, max}.  Same contract as
-    ``grouped_lag``: ``order_cols`` must order rows uniquely within a
-    key; one bucketed shuffle co-locates whole key groups, then a
-    vectorized sorted pandas ``groupby.rolling`` / ``expanding`` per
-    bucket (C kernels — no Python per-row work).  Partitioning
-    assumption: one key group fits a bucket worker (the engine-wide
-    grouped contract).
-    """
-    for out, op in ops.items():
-        if op not in _ROLL_OPS:
-            raise ValueError(f"unsupported rolling op {op!r} for {out!r}")
-    if window is not None and window < 1:
-        raise ValueError("window must be >= 1")
-    keys, order_cols = list(keys), list(order_cols)
-
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(keys + order_cols, kind="mergesort")
-        grp = g.groupby(keys, sort=False)[value_col]
-        for out, op in ops.items():
-            win = (grp.rolling(window, min_periods=1) if window
-                   else grp.expanding(min_periods=1))
-            g[out] = getattr(win, op)().to_numpy()
-        return g
-
-    from pdf_extract_ray.stages.agg import bucketed_group_apply
-
-    return bucketed_group_apply(ds, keys, per_bucket,
-                                num_buckets=num_buckets)
-
-
-def grouped_rolling_oracle_sql(
-    table_sql: str,
-    keys: list[str],
-    order_cols: list[str],
-    value_col: str,
-    ops: dict[str, str],
-    *,
-    window: int | None = None,
-) -> str:
-    """DuckDB window-function mirror of ``grouped_rolling``."""
-    frame = (f"ROWS BETWEEN {window - 1} PRECEDING AND CURRENT ROW"
-             if window else
-             "ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW")
-    over = (f"OVER (PARTITION BY {', '.join(keys)} "
-            f"ORDER BY {', '.join(order_cols)} {frame})")
-    cols = [f"{'avg' if op == 'mean' else op}({value_col}) {over} AS {out}"
-            for out, op in ops.items()]
-    return f"SELECT *, {', '.join(cols)} FROM {table_sql}"
-
-
-_TIME_ROLL_OPS = ("sum", "mean", "min", "max", "count")
-
-
-def grouped_rolling_time(
-    ds: Dataset,
-    keys: list[str],
-    ts_col: str,
-    value_col: str,
-    ops: dict[str, str],
-    window: pd.Timedelta | str,
-    *,
-    num_buckets: int | None = None,
-) -> Dataset:
-    """Per-key TIME-window aggregates — SQL ``op(v) OVER (PARTITION BY
-    keys ORDER BY ts RANGE BETWEEN {window} PRECEDING AND CURRENT ROW)``:
-    each row aggregates every row of its key whose timestamp lies in
-    ``[ts - window, ts]`` (both ends inclusive, the RANGE-frame rule).
-
-    ``ops``: out_col -> op in {sum, mean, min, max, count}.  Contract:
-    ``ts_col`` must be UNIQUE within a key (the engine-wide grouped
-    ordering contract; with duplicate timestamps SQL's RANGE frame
-    includes later peer ROWS while a forward scan cannot).  One bucketed
-    shuffle co-locates key groups, then pandas' time-based
-    ``groupby.rolling(window, on=ts, closed="both")`` C kernels per
-    bucket — no per-row Python.  Partitioning assumption: one key group
-    fits a bucket worker.
-    """
-    for out, op in ops.items():
-        if op not in _TIME_ROLL_OPS:
-            raise ValueError(f"unsupported time-rolling op {op!r} for {out!r}")
-    keys = list(keys)
-    window = pd.Timedelta(window)
-    if window <= pd.Timedelta(0):
-        raise ValueError("window must be a positive Timedelta")
-
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(keys + [ts_col], kind="mergesort")
-        grp = g.groupby(keys, sort=False)[[ts_col, value_col]]
-        for out, op in ops.items():
-            r = getattr(grp.rolling(window, on=ts_col, closed="both"), op)()
-            vals = r[value_col].to_numpy()
-            g[out] = vals.astype(np.int64) if op == "count" else vals
-        return g
-
-    from pdf_extract_ray.stages.agg import bucketed_group_apply
-
-    return bucketed_group_apply(ds, keys, per_bucket,
-                                num_buckets=num_buckets)
-
-
-def grouped_rolling_time_oracle_sql(
-    table_sql: str,
-    keys: list[str],
-    ts_col: str,
-    value_col: str,
-    ops: dict[str, str],
-    window_sql: str,
-) -> str:
-    """DuckDB RANGE-frame mirror of ``grouped_rolling_time`` (e.g.
-    ``window_sql="INTERVAL 1 HOUR"``)."""
-    frame = f"RANGE BETWEEN {window_sql} PRECEDING AND CURRENT ROW"
-    over = (f"OVER (PARTITION BY {', '.join(keys)} "
-            f"ORDER BY {ts_col} {frame})")
-    cols = [f"{'avg' if op == 'mean' else op}({value_col}) {over} AS {out}"
-            for out, op in ops.items()]
-    return f"SELECT *, {', '.join(cols)} FROM {table_sql}"
-
-
-def fill_window_gaps(
-    ds: Dataset,
-    keys: list[str],
-    win_col: str,
-    step: pd.Timedelta | str,
-    fill: dict[str, float],
-    *,
-    num_buckets: int | None = None,
-) -> Dataset:
-    """Densify a per-key time series: emit one row per key for EVERY
-    ``step``-aligned window between that key's min and max observed
-    window, inserting ``fill`` values (col -> constant) where a window
-    is missing — the gap-filling/resample step between a windowed
-    aggregate and anything that assumes contiguous series (rate deltas,
-    moving averages, charting).
-
-    Contract: within a key, ``win_col`` values are unique and all lie
-    on the same ``step`` grid (a tumbling-window aggregate output by
-    construction) — violations raise.  One bucketed shuffle of the
-    (already aggregated, small) window rows; the dense ranges are
-    generated vectorized per bucket (repeat + cumsum-offset arange,
-    no per-row Python).  Output size is bounded by keys x span/step.
-    """
-    keys = list(keys)
-    step_us = int(pd.Timedelta(step) // pd.Timedelta("1us"))
-    if step_us <= 0:
-        raise ValueError("step must be a positive Timedelta")
-
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        if g.duplicated(keys + [win_col]).any():
-            raise ValueError("duplicate (keys, window) rows")
-        dtypes = {c: g[c].dtype for c in fill}
-        kf = g.groupby(keys, as_index=False).agg(
-            __mn=(win_col, "min"), __mx=(win_col, "max"))
-        mn = kf["__mn"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        mx = kf["__mx"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        cnt = (mx - mn) // step_us + 1
-        total = int(cnt.sum())
-        run_start = np.cumsum(cnt) - cnt
-        within = np.arange(total, dtype=np.int64) - np.repeat(run_start, cnt)
-        full = pd.DataFrame(
-            {c: np.repeat(kf[c].to_numpy(), cnt) for c in keys})
-        full[win_col] = (np.repeat(mn, cnt)
-                         + within * step_us).astype("datetime64[us]")
-        out = full.merge(g, on=keys + [win_col], how="left", sort=False,
-                         indicator=True)
-        if int((out["_merge"] == "both").sum()) != len(g):
-            raise ValueError(
-                f"{win_col} values not aligned to the {step!r} grid")
-        out = out.drop(columns=["_merge"])
-        for c, v in fill.items():
-            out[c] = out[c].fillna(v).astype(dtypes[c])
-        return out
-
-    from pdf_extract_ray.stages.agg import bucketed_group_apply
-
-    return bucketed_group_apply(ds, keys, per_bucket,
-                                num_buckets=num_buckets)
-
-
-def fill_window_gaps_oracle_sql(
-    table_sql: str,
-    keys: list[str],
-    win_col: str,
-    step_sql: str,
-    fill: dict[str, float],
-) -> str:
-    """DuckDB generate_series mirror of :func:`fill_window_gaps`
-    (``step_sql`` e.g. ``"INTERVAL 1 DAY"``)."""
-    part = ", ".join(keys)
-    cols = ", ".join(f"coalesce(c.{c}, {v!r}) AS {c}"
-                     for c, v in fill.items())
-    return (
-        f"WITH c AS (SELECT * FROM {table_sql}), "
-        f"b AS (SELECT {part}, min({win_col}) AS __mn, "
-        f"max({win_col}) AS __mx FROM c GROUP BY {part}), "
-        f"g AS (SELECT {part}, unnest(generate_series(__mn, __mx, "
-        f"{step_sql})) AS {win_col} FROM b) "
-        f"SELECT g.*, {cols} FROM g LEFT JOIN c "
-        f"USING ({part}, {win_col})")
-
-
-def merge_intervals(
-    ds: Dataset,
-    keys,
-    start_col: str,
-    end_col: str,
-    *,
-    num_buckets: int | None = None,
-) -> Dataset:
-    """Coalesce overlapping/touching intervals per key — the span-merge
-    primitive behind visit stitching (events carry DURATIONS, unlike
-    :func:`sessionize`'s gap rule over points), crawl-window planning
-    and rate-limit audit windows.
-
-    Frozen rule (mirrored by :func:`merge_intervals_oracle_sql`):
-    intervals sort by ``(start, end)`` within a key; an interval starts
-    a NEW merged group iff its start exceeds the running max end of all
-    earlier intervals (``start > prev_max`` — touching intervals with
-    ``start == prev_end`` MERGE).  Output per merged group:
-    ``(keys..., interval_start, interval_end, n_rows)`` with the min
-    start, max end and member count.  Columns must be int64
-    (microseconds); exact comparisons, no float anywhere.
-
-    Scale shape: ONE bucketed cogroup on the key; in-bucket merge is
-    vectorized (sort + shifted cummax + cumsum group ids + one
-    groupby)."""
-    from pdf_extract_ray.stages.agg import bucketed_group_apply
-
-    keys = list(keys)
-
-    def body(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(keys + [start_col, end_col],
-                          kind="mergesort").reset_index(drop=True)
-        s = g[start_col].to_numpy(np.int64)
-        e = g[end_col].to_numpy(np.int64)
-        seg = g.groupby(keys, sort=False).ngroup().to_numpy(np.int64)
-        new_key = np.concatenate([[True], seg[1:] != seg[:-1]])
-        # per-key running max end shifted one row back (vectorized
-        # segmented cummax: pandas cython groupby kernels)
-        lo = np.iinfo(np.int64).min
-        pm = (pd.Series(e).groupby(seg).cummax()
-              .groupby(seg).shift(1, fill_value=lo).to_numpy(np.int64))
-        new_grp = (s > pm) | new_key
-        gid = np.cumsum(new_grp)
-        out = g[keys].copy()
-        out["__gid"] = gid
-        out["__s"] = s
-        out["__e"] = e
-        agg = (out.groupby(keys + ["__gid"], sort=False)
-               .agg(interval_start=("__s", "min"),
-                    interval_end=("__e", "max"),
-                    n_rows=("__s", "size"))
-               .reset_index().drop(columns="__gid"))
-        agg["n_rows"] = agg["n_rows"].astype(np.int64)
-        return agg
-
-    return bucketed_group_apply(ds, keys, body, num_buckets=num_buckets)
-
-
-def merge_intervals_oracle_sql(
-    table_sql: str,
-    keys,
-    start_col: str,
-    end_col: str,
-) -> str:
-    """DuckDB mirror of :func:`merge_intervals`."""
-    ks = ", ".join(keys)
-    return f"""
-WITH __mi_t AS (SELECT {ks}, {start_col} AS s, {end_col} AS e
-                FROM ({table_sql})),
-__mi_o AS (
-  SELECT *, max(e) OVER (PARTITION BY {ks} ORDER BY s, e
-                         ROWS BETWEEN UNBOUNDED PRECEDING
-                         AND 1 PRECEDING) AS prev_max
-  FROM __mi_t
-),
-__mi_g AS (
-  SELECT *, sum(CASE WHEN prev_max IS NULL OR s > prev_max
-                     THEN 1 ELSE 0 END)
-              OVER (PARTITION BY {ks} ORDER BY s, e
-                    ROWS UNBOUNDED PRECEDING) AS gid
-  FROM __mi_o
-)
-SELECT {ks},
-       CAST(min(s) AS BIGINT) AS interval_start,
-       CAST(max(e) AS BIGINT) AS interval_end,
-       CAST(count(*) AS BIGINT) AS n_rows
-FROM __mi_g GROUP BY {ks}, gid
-"""
-
-
-def grouped_cusum(
-    ds: Dataset,
-    keys,
-    order_cols,
-    value_col: str,
-    *,
-    target: int,
-    slack: int = 0,
-    threshold: int,
-    num_buckets: int | None = None,
-) -> Dataset:
-    """One-sided CUSUM control chart per key (Page 1954 — the classic
-    sequential drift detector): ``C_t = max(0, C_{t-1} + (x_t − target −
-    slack))``, alarm when ``C_t >= threshold`` — the
-    pipeline-monitoring primitive ("did this host's response size /
-    event value drift upward mid-crawl").
-
-    Exactness: with integer ``x``/``target``/``slack`` the recurrence
-    is computed CLOSED-FORM as ``C_t = Q_t − min(0, min_{j<=t} Q_j)``
-    where ``Q`` is the prefix sum of ``(x − target − slack)`` — a
-    cumsum plus a running min, both exact int64 and fully vectorized;
-    no sequential Python loop, and the SQL mirror is two stacked
-    window functions.
-
-    Output: one row per input row — ``(keys..., order_cols..., value,
-    cusum, alarm)``.
-
-    Scale shape: ONE bucketed cogroup on the key; in-bucket sort +
-    two accumulates."""
-    from pdf_extract_ray.stages.agg import bucketed_group_apply
-
-    keys = list(keys)
-    order_cols = list(order_cols)
-
-    def body(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(keys + order_cols,
-                          kind="mergesort").reset_index(drop=True)
-        x = g[value_col].to_numpy(np.int64)
-        seg = g.groupby(keys, sort=False).ngroup().to_numpy(np.int64)
-        q = x - np.int64(target) - np.int64(slack)
-        # segmented cumsum / running-min via pandas cython kernels
-        p = pd.Series(q).groupby(seg).cumsum().to_numpy(np.int64)
-        mn = pd.Series(p).groupby(seg).cummin().to_numpy(np.int64)
-        cusum = p - np.minimum(mn, 0)
-        out = g[keys + order_cols].copy()
-        out[value_col] = x
-        out["cusum"] = cusum
-        out["alarm"] = cusum >= np.int64(threshold)
-        return out
-
-    return bucketed_group_apply(ds, keys, body, num_buckets=num_buckets)
-
-
-def grouped_cusum_oracle_sql(
-    table_sql: str,
-    keys,
-    order_cols,
-    value_col: str,
-    *,
-    target: int,
-    slack: int = 0,
-    threshold: int,
-) -> str:
-    """DuckDB mirror of :func:`grouped_cusum` (same closed form)."""
-    ks = ", ".join(keys)
-    os_ = ", ".join(order_cols)
-    w = (f"PARTITION BY {ks} ORDER BY {os_} "
-         f"ROWS UNBOUNDED PRECEDING")
-    return f"""
-WITH __cs_d AS (
-  SELECT {ks}, {os_}, {value_col},
-         {value_col} - {int(target)} - {int(slack)} AS q
-  FROM ({table_sql})
-),
-__cs_p AS (
-  SELECT *, sum(q) OVER ({w}) AS p FROM __cs_d
-),
-__cs_m AS (
-  SELECT *, least(min(p) OVER ({w}), 0) AS mn FROM __cs_p
-)
-SELECT {ks}, {os_}, CAST({value_col} AS BIGINT) AS {value_col},
-       CAST(p - mn AS BIGINT) AS cusum,
-       (p - mn) >= {int(threshold)} AS alarm
-FROM __cs_m
-"""
-
-
-def window_distinct(
-    ds: Dataset,
-    ts_col: str,
-    member_col: str,
-    *,
-    size_us: int,
-    num_buckets: int | None = None,
-) -> Dataset:
-    """EXACT distinct members per tumbling window — "unique users per
-    hour" / "unique hosts per crawl slot", the streaming-distinct
-    readout the windowed COUNT rollups can't answer (distinct is not
-    additive, so it needs its own two-level plan).
-
-    Output: ``(window_start, n_distinct)`` with ``window_start`` =
-    int64 epoch microseconds floored to the window.
-
-    Scale shape: per-batch pre-dedup of ``(window, member)`` pairs,
-    ONE grouped dedup (shuffle bounded by distinct pairs — the
-    quantity measured), then a tiny grouped count per window."""
-    from pdf_extract_ray.stages.agg import grouped_aggregate
-
-    def derive(b: pd.DataFrame) -> pd.DataFrame:
-        us = b[ts_col].to_numpy("datetime64[us]").astype(np.int64)
-        return pd.DataFrame({
-            "window_start": us // np.int64(size_us) * np.int64(size_us),
-            "__m": b[member_col].to_numpy(),
-        }).drop_duplicates()
-
-    pairs = grouped_aggregate(
-        ds.map_batches(derive, batch_format="pandas"),
-        ["window_start", "__m"], {"__n": ("__m", "count")},
-        num_buckets=num_buckets)
-    return grouped_aggregate(
-        pairs, ["window_start"], {"n_distinct": ("__n", "count")},
-        num_buckets=num_buckets)
-
-
-def window_distinct_oracle_sql(
-    table_sql: str,
-    ts_col: str,
-    member_col: str,
-    *,
-    size_us: int,
-) -> str:
-    """DuckDB mirror of :func:`window_distinct`."""
-    return f"""
-SELECT (epoch_us({ts_col}) // {int(size_us)}) * {int(size_us)}
-         AS window_start,
-       CAST(count(DISTINCT {member_col}) AS BIGINT) AS n_distinct
-FROM ({table_sql}) GROUP BY 1
-"""
-
-
-def rate_limit(
-    ds: Dataset,
-    key_col: str,
-    ts_col: str,
-    k: int,
-    *,
-    window: str = "h",
-    tie_col: str | None = None,
-    num_buckets: int | None = None,
-) -> Dataset:
-    """Keep only the FIRST ``k`` rows per (key, tumbling window) in
-    event-time order — the throttling / crawler-politeness primitive
-    (at most k fetches per host per hour, k alerts per user per day).
-
-    Adds ``window_start`` (= ``ts`` floored to ``window``).  Selection
-    decomposes, so this is :func:`agg.grouped_top_k` ascending under a
-    narrow window-floor map: every batch pre-trims to <= k rows per
-    (key, window) BEFORE the single bucketed shuffle.
-
-    DETERMINISM CONTRACT: pass ``tie_col`` (a unique row id) unless
-    ``(key, window, ts)`` is already unique."""
-    from pdf_extract_ray.stages.agg import grouped_top_k
-
-    def add_w(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["window_start"] = b[ts_col].dt.floor(window)
-        return b
-
-    return grouped_top_k(
-        ds.map_batches(add_w, batch_format="pandas"),
-        [key_col, "window_start"], ts_col, k,
-        descending=False, tie_col=tie_col, num_buckets=num_buckets)
-
-
-def rate_limit_oracle_sql(
-    table_sql: str,
-    key_col: str,
-    ts_col: str,
-    k: int,
-    *,
-    window_sql: str = "hour",
-    tie_col: str | None = None,
-    cols: str = "*",
-) -> str:
-    """DuckDB mirror of :func:`rate_limit` (``window_sql`` is a
-    date_trunc part name)."""
-    tie = f", {tie_col}" if tie_col else ""
-    return f"""
-SELECT {cols}, window_start FROM (
-  SELECT *, date_trunc('{window_sql}', {ts_col}) AS window_start,
-         row_number() OVER (
-           PARTITION BY {key_col}, date_trunc('{window_sql}', {ts_col})
-           ORDER BY {ts_col}{tie}) AS __rn
-  FROM {table_sql}
-) WHERE __rn <= {k}
-"""

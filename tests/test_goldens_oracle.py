@@ -19,7 +19,6 @@ GOLDEN_QUERIES = (
     "minhash_near_dup", "simhash_near_dup", "winnow_near_dup",
     "pair_analyzers", "layout_tagging", "media_features",
     "media_pixel_features",
-    "approx_distinct_users", "approx_event_quantiles",
     "compression_ratio_docs", "bpe_merges", "bpe_token_stats",
     "similarity_topk_ivf", "embedding_near_dup_lsh",
     "pdf_extract_docs", "near_dup_clusters", "near_dup_dedup_docs",
@@ -28,7 +27,7 @@ GOLDEN_QUERIES = (
     "nb_quality_docs", "bloom_url_probe", "nb_topic_docs",
     "image_near_dup", "semdedup_embeddings", "dsir_weights_docs",
     "kmeans_embeddings", "k_core_docs", "host_mirror_docs",
-    "markdown_docs", "grouped_distinct_users", "porter_stems",
+    "markdown_docs", "porter_stems",
     "label_prop_docs", "knn_join_embeddings", "central_embeddings",
     "cdc_dedup_docs", "silhouette_embeddings",
     "unigram_vocab_docs", "unigram_token_stats", "textrank_keywords",

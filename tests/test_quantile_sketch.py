@@ -1,70 +1,13 @@
-"""Deterministic mergeable quantile histogram (stages/sketch.py): bin
-mapping rules, accuracy vs exact quantiles, and exact agreement between
-the distributed plan and the single-process reference (merge is integer
-vector addition, so no topology may change the estimate)."""
+"""Mergeable sketches (stages/sketch.py: count-min, Bloom, grouped
+HyperLogLog) and the corpus-statistics fits (token coverage, Zipf,
+Heaps): exact agreement between the distributed plans and their
+single-process or SQL references."""
 
 import numpy as np
 import pandas as pd
 
-from pdf_extract_ray.stages.sketch import (approx_quantiles,
-                                           approx_quantiles_reference,
-                                           qh_bin_ordinals,
-                                           qh_representative)
 
-
-def test_bin_ordinal_rules():
-    vals = [0.0, 1e-12, -1e-12, 1.0, -1.0, 1e15, -1e15, np.nan, np.inf]
-    ords, keep = qh_bin_ordinals(vals)
-    assert list(keep) == [True] * 7 + [False, False]
-    assert ords[0] == ords[1] == ords[2] == 0          # zero/underflow
-    assert ords[3] > 0 and ords[4] == -ords[3]          # sign mirror
-    assert ords[5] == -ords[6]                          # overflow saturates
-    ords2, _ = qh_bin_ordinals([1e40])
-    assert ords2[0] == ords[5]                          # clipped to top bin
-    rep = qh_representative(ords)
-    assert rep[0] == 0.0 and rep[4] == -rep[3]
-    assert 0.9 < rep[3] < 1.1                           # ~geometric midpoint
-
-
-def test_accuracy_vs_exact():
-    rng = np.random.default_rng(7)
-    df = pd.DataFrame({
-        "k": np.repeat(["a", "b"], 20000),
-        "v": np.concatenate([
-            np.exp(rng.normal(2.0, 1.5, 20000)),               # positive
-            rng.normal(0.0, 50.0, 20000),                      # mixed sign
-        ]),
-    })
-    got = approx_quantiles_reference(df, ["k"], "v", qs=(0.5, 0.9),
-                                     round_digits=None)
-    for _, r in got.iterrows():
-        sub = df.loc[df["k"] == r["k"], "v"]
-        for q, col in ((0.5, "p50"), (0.9, "p90")):
-            exact = float(np.quantile(sub, q))
-            scale = max(abs(exact), 1e-9)
-            # bin ratio 10**(1/32) => rep within ~3.7% of any bin member
-            assert abs(r[col] - exact) / scale < 0.06, (r["k"], col)
-
-
-def test_distributed_equals_reference(ray_session):
-    import ray.data as rd
-
-    rng = np.random.default_rng(11)
-    df = pd.DataFrame({
-        "k": rng.choice(["x", "y", "z"], 5000),
-        "v": np.where(rng.random(5000) < 0.1, 0.0,
-                      rng.normal(0, 1000, 5000)),
-    })
-    df.loc[:10, "v"] = np.nan  # dropped on both sides
-    got = (approx_quantiles(rd.from_pandas(df).repartition(6), ["k"], "v",
-                            num_buckets=3)
-           .to_pandas().sort_values("k").reset_index(drop=True))
-    ref = (approx_quantiles_reference(df, ["k"], "v")
-           .sort_values("k").reset_index(drop=True))
-    pd.testing.assert_frame_equal(got, ref)
-
-
-# --- count-min sketch (same module: stages/sketch.py) ---
+# --- count-min sketch ---
 
 
 def test_cms_guarantees_and_merge_determinism(ray_session):

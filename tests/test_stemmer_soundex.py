@@ -1,4 +1,4 @@
-"""Porter stemmer, Soundex, and Benford-audit kernels.
+"""Porter stemmer and Soundex kernels.
 
 Porter pairs come from the published algorithm's own examples
 (Porter 1980, "An algorithm for suffix stripping", steps 1a-5b);
@@ -130,26 +130,3 @@ def test_soundex_plain_loop_equivalence():
              for _ in range(300)]
     got = soundex_batch(pd.Series(words)).tolist()
     assert got == [ref(w) for w in words]
-
-
-# -- Benford digit audit ------------------------------------------------
-
-def test_benford_digit_stats(ray_session):
-    import ray.data
-
-    from pdf_extract_ray.stages.contract import benford_digit_stats
-
-    df = pd.DataFrame({
-        "g": ["a"] * 6 + ["b"] * 4,
-        "v": [1.5, 19.0, 120.0, 2.2, 0.4, -3.0,   # a: digits 1,1,1,2 (0.4, -3 dropped)
-              9.9, 91.0, 0.0, 5.0],               # b: digits 9,9,5
-    })
-    out = benford_digit_stats(
-        ray.data.from_pandas(df), ["g"], "v").to_pandas()
-    out = out.sort_values(["g", "digit"]).reset_index(drop=True)
-    assert out[["g", "digit", "n", "n_group"]].values.tolist() == [
-        ["a", 1, 3, 4], ["a", 2, 1, 4], ["b", 5, 1, 3], ["b", 9, 2, 3]]
-    row = out[(out.g == "a") & (out.digit == 1)].iloc[0]
-    assert row["p_obs"] == pytest.approx(0.75)
-    assert row["benford_p"] == pytest.approx(np.log10(2), abs=1e-6)
-    assert row["dev_term"] == pytest.approx(0.75 - np.log10(2), abs=1e-6)

@@ -397,3 +397,23 @@ def test_cli_command_keeps_the_callers_ray_session(ray_session, tmp_path,
                  "--out", str(tmp_path / "out"),
                  "--files-per-partition", "1"]) == 0
     assert ray.is_initialized()
+
+
+@pytest.mark.parametrize("cmd", ["quality", "webtext", "linkgraph", "shards",
+                                 "history"])
+@pytest.mark.parametrize("flag", [["--plan", "staged"],
+                                  ["--rule-pack", "default"]],
+                         ids=["plan", "rule_pack"])
+def test_non_extract_commands_reject_extract_flags(tmp_path, cmd, flag,
+                                                   capsys):
+    """``--plan`` and ``--rule-pack`` belong to ``extract`` (and
+    ``retry-failed``, which re-runs it); other commands never read them,
+    so argparse refuses them (exit 2) before any work starts."""
+    from pdf_extract_ray.__main__ import main
+
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "--input", str(tmp_path / "*.parquet"),
+              "--out", str(tmp_path / "out"), *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

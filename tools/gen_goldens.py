@@ -388,37 +388,6 @@ def gen_media_pixels(sf_dir: str) -> dict[str, pa.Table]:
     })}
 
 
-def gen_approx_distinct(sf_dir: str) -> dict[str, pa.Table]:
-    # HLL register merge is associative/idempotent, so the single-process
-    # sketch equals the distributed per-batch merge exactly — the golden
-    # freezes the (deterministic) estimate, documenting that the check is
-    # a determinism freeze, not an accuracy oracle (accuracy vs exact
-    # count is asserted in pytest).
-    from pdf_extract_ray.stages.sketch import HyperLogLog
-
-    events = pq.read_table(f"{sf_dir}/events.parquet", columns=["user_id"])
-    h = HyperLogLog(12)
-    h.add(events.column("user_id").to_pandas().dropna())
-    return {"approx_distinct_users": pa.table(
-        {"approx_distinct_users": pa.array([int(h.estimate())], pa.int64())})}
-
-
-def gen_approx_quantiles(sf_dir: str) -> dict[str, pa.Table]:
-    # Histogram-sketch quantiles: merge is int64 vector addition
-    # (associative + commutative), so this single-process reference —
-    # plain pandas groupby + numpy bincounts, no Ray — equals the
-    # distributed per-batch-partial plan EXACTLY.  Determinism freeze;
-    # accuracy vs the exact quantile is asserted in pytest.
-    from pdf_extract_ray.stages.sketch import approx_quantiles_reference
-
-    events = pq.read_table(f"{sf_dir}/events.parquet",
-                           columns=["event_type", "value"]).to_pandas()
-    r = approx_quantiles_reference(events, ["event_type"], "value",
-                                   qs=(0.5, 0.9, 0.99))
-    return {"approx_event_quantiles": pa.Table.from_pandas(
-        r, preserve_index=False)}
-
-
 def gen_compression_ratio(sf_dir: str) -> dict[str, pa.Table]:
     # plain-loop single-process implementation of the frozen rules
     # (utf-8 encode, zlib level 6, empty -> 0.0 ratio, round-half-away 4)
@@ -922,25 +891,6 @@ def gen_porter(sf_dir: str) -> dict[str, pa.Table]:
     })}
 
 
-def gen_grouped_distinct(sf_dir: str) -> dict[str, pa.Table]:
-    # single-process per-group HLL over the full column; register
-    # max-merge is associative + deterministic, so the distributed
-    # grouped_approx_distinct must match EXACTLY
-    from pdf_extract_ray.stages.sketch import HyperLogLog
-
-    ev = pq.read_table(f"{sf_dir}/events.parquet",
-                       columns=["event_type", "user_id"]).to_pandas()
-    rows = []
-    for et, g in ev.groupby("event_type", sort=True):
-        h = HyperLogLog(12)
-        h.add(g["user_id"].dropna())
-        rows.append((et, h.estimate()))
-    return {"grouped_distinct_users": pa.table({
-        "event_type": pa.array([r[0] for r in rows], pa.string()),
-        "approx_distinct": pa.array([r[1] for r in rows], pa.float64()),
-    })}
-
-
 def gen_kmeans(sf_dir: str) -> dict[str, pa.Table]:
     """Single-process dense-numpy mirror of stages/kmeans.kmeans
     (k=8, n_iters=4, scale=1000): same frozen rules — floor-quantized
@@ -1398,14 +1348,13 @@ def gen_unigram(sf_dir: str) -> dict[str, pa.Table]:
 
 GENERATORS = (gen_extract, gen_align, gen_minhash, gen_simhash, gen_winnow,
               gen_pair_analyzers, gen_layout, gen_media, gen_media_pixels,
-              gen_approx_distinct, gen_approx_quantiles,
               gen_compression_ratio, gen_bpe,
               gen_similarity_ivf, gen_embedding_lsh, gen_pdf_extract,
               gen_substr_dedup, gen_pagerank, gen_trustrank, gen_hits,
               gen_cms,
               gen_nb_quality, gen_bloom, gen_nb_topic, gen_image_dup,
               gen_semdedup, gen_dsir, gen_markdown, gen_porter,
-              gen_grouped_distinct, gen_kmeans, gen_kcore,
+              gen_kmeans, gen_kcore,
               gen_host_mirror, gen_label_prop, gen_knn_join, gen_central,
               gen_cdc, gen_silhouette, gen_unigram, gen_textrank,
               gen_sentence_stats)

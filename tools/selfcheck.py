@@ -16,8 +16,7 @@ import pandas as pd
 
 sys.path.insert(0, "/root/repo")
 
-TABLES = ("region nation customer supplier part orders lineitem events "
-          "documents embeddings").split()
+TABLES = ("documents", "embeddings")
 
 
 def as_pandas(res) -> pd.DataFrame:
