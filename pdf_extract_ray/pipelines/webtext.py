@@ -15,9 +15,14 @@ bit-stable and the whole pipeline is DuckDB-oracle-checkable):
 4. ``tier2``              otherwise
 
 Scale shape: signal computation + tiering is one fused ``map_batches``
-(zero shuffles, embarrassingly parallel) that runs the pandas kernel over
-row slices of at most ``TIER_SLICE_BYTES`` of text, so a task's tiering
-heap does not grow with its block; the partitioned writer is the
+over Arrow blocks (zero shuffles, embarrassingly parallel, no pandas
+round trip): the signal kernel (``stages/textquality.text_signals``) reads
+the Arrow ``text`` column in row slices of at most
+``textquality.TIER_SLICE_BYTES`` of text, so a task's tiering heap does
+not grow with its block, and the map appends the signal and ``tier``
+columns to the block and filters the reject tiers in Arrow;
+``tier_batch`` is the same computation over a pandas batch.  The
+partitioned writer is the
 manifest-driven resume loop every other pipeline here uses
 (``state/manifest.run_partitioned``), declared row-local: consecutive
 pending partitions (up to Ray Data's ``target_max_block_size`` of input)
@@ -41,14 +46,10 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 from ray.data import Dataset
-from ray.data.block import BlockAccessor
 
 from pdf_extract_ray.stages.lm import lm_model_digest as _lm_digest
 from pdf_extract_ray.stages.nbquality import nb_model_digest
-from pdf_extract_ray.stages.textquality import (
-    quality_score_batch,
-    repetition_stats_batch,
-)
+from pdf_extract_ray.stages.textquality import sliced_columns, text_signals
 
 TIER_RULES = {
     "min_words": 20,
@@ -61,15 +62,37 @@ TIER_RULES = {
 SIGNAL_COLS = ["n_words", "stop_ratio", "mean_word_len", "dup_word_frac",
                "top_bigram_frac", "max_word_run"]
 
-# text bytes per tier kernel call: the kernels hold ~42 B of numpy
-# temporaries per character (~17 MB per slice), whatever the block size
-TIER_SLICE_BYTES = 512 << 10
+
+def label_tiers(cols: dict, rules: dict, tier1: np.ndarray, text,
+                nb_model: dict | None = None) -> dict[str, np.ndarray]:
+    """Add ``tier`` to the signal columns ``cols`` of the Arrow text slice
+    ``text`` by the frozen first-match rule order, ``tier1`` being each
+    document's tier1 gate.  With ``nb_model`` the
+    ``n_grams``/``nb_logit``/``nb_label`` columns come first, and
+    ``reject_lowquality`` is checked after ``reject_repetitive``."""
+    conds = [
+        cols["n_words"] < rules["min_words"],
+        (cols["dup_word_frac"] > rules["max_dup_word_frac"])
+        | (cols["max_word_run"] >= rules["max_word_run"])
+        | (cols["top_bigram_frac"] > rules["max_top_bigram_frac"]),
+    ]
+    labels = ["reject_short", "reject_repetitive"]
+    if nb_model is not None:
+        from pdf_extract_ray.stages.nbquality import nb_score_columns
+
+        cols.update(nb_score_columns(text.to_pandas(), nb_model))
+        conds.append(cols["nb_logit"] > rules.get("max_nb_logit", 0.0))
+        labels.append("reject_lowquality")
+    conds.append(tier1)
+    labels.append("tier1")
+    cols["tier"] = np.select(conds, labels, default="tier2")
+    return cols
 
 
-def tier_batch(batch: pd.DataFrame, text_col: str = "text",
-               rules: dict = TIER_RULES,
-               nb_model: dict | None = None) -> pd.DataFrame:
-    """Append the signal columns and the ``tier`` label to one batch.
+def tier_columns(text, rules: dict = TIER_RULES,
+                 nb_model: dict | None = None) -> dict[str, np.ndarray]:
+    """The signal columns and ``tier`` of one Arrow text slice (see
+    ``textquality.sliced_columns``), in output order.
 
     With ``nb_model`` (stages/nbquality.train_nb_quality output, labels
     sorted good-label-first) a ``reject_lowquality`` rule is inserted
@@ -77,61 +100,40 @@ def tier_batch(batch: pd.DataFrame, text_col: str = "text",
     (default 0.0 = the classifier's own decision boundary) rejects, and
     the ``nb_logit``/``nb_label`` columns join the signal set.  The
     classifier stays fused into the same narrow map — no extra pass."""
-    out = repetition_stats_batch(batch, text_col)
-    out = quality_score_batch(out, text_col)
-    conds = [
-        out["n_words"] < rules["min_words"],
-        (out["dup_word_frac"] > rules["max_dup_word_frac"])
-        | (out["max_word_run"] >= rules["max_word_run"])
-        | (out["top_bigram_frac"] > rules["max_top_bigram_frac"]),
-    ]
-    labels = ["reject_short", "reject_repetitive"]
-    if nb_model is not None:
-        from pdf_extract_ray.stages.nbquality import nb_score_batch
+    cols = text_signals(text)
+    tier1 = cols["stop_ratio"] >= rules["min_stop_ratio"]
+    return label_tiers(cols, rules, tier1, text, nb_model)
 
-        out = nb_score_batch(out, nb_model, text_col)
-        conds.append(out["nb_logit"] > rules.get("max_nb_logit", 0.0))
-        labels.append("reject_lowquality")
-    conds.append(out["stop_ratio"] >= rules["min_stop_ratio"])
-    labels.append("tier1")
-    out["tier"] = np.select(conds, labels, default="tier2")
+
+def tier_batch(batch: pd.DataFrame, text_col: str = "text",
+               rules: dict = TIER_RULES,
+               nb_model: dict | None = None) -> pd.DataFrame:
+    """``batch`` (index reset) with the :func:`tier_columns` of its
+    ``text_col`` appended, computed slice by slice."""
+    out = batch.reset_index(drop=True).copy()
+    cols = sliced_columns(lambda t: tier_columns(t, rules, nb_model),
+                          out[text_col])
+    for name, col in cols.items():
+        out[name] = col
     return out
-
-
-def _text_slices(t: pa.Table, text_col: str,
-                 limit: int) -> list[tuple[int, int]]:
-    """``(start, stop)`` row ranges of ``t`` holding at most ``limit``
-    bytes of ``text_col`` each (a longer row gets a range of its own);
-    a zero-row table gets one empty range."""
-    col = t.column(text_col)
-    if t.num_rows == 0 or pa.types.is_null(col.type):
-        return [(0, t.num_rows)]
-    ends = np.cumsum(pc.binary_length(col).fill_null(0).to_numpy())
-    bounds = [0]
-    while bounds[-1] < t.num_rows:
-        start = bounds[-1]
-        base = ends[start - 1] if start else 0
-        stop = int(np.searchsorted(ends, base + limit, side="right"))
-        bounds.append(max(stop, start + 1))
-    return list(zip(bounds, bounds[1:]))
 
 
 def tier_slices(t: pa.Table, tier_fn, text_col: str = "text", *,
                 keep_rejects: bool = True) -> pa.Table:
-    """Run the pandas tier kernel ``tier_fn`` over one Arrow block, one
-    slice of at most ``TIER_SLICE_BYTES`` of text at a time (pandas
-    conversions as Ray Data's ``batch_format="pandas"`` does them),
-    dropping the ``reject_*`` tiers in Arrow unless ``keep_rejects``.
-    Equal to ``tier_fn`` on the whole block, then that filter."""
-    out = []
-    for start, stop in _text_slices(t, text_col, TIER_SLICE_BYTES):
-        df = BlockAccessor.for_block(t.slice(start, stop - start)).to_pandas()
-        part = BlockAccessor.for_block(tier_fn(df)).to_arrow()
-        if not keep_rejects:
-            part = part.filter(
-                pc.invert(pc.starts_with(part["tier"], "reject_")))
-        out.append(part)
-    return pa.concat_tables(out, promote_options="permissive")
+    """Append the columns ``tier_fn`` computes from one slice of
+    ``text_col`` (see :func:`tier_columns`) to one Arrow block, computed
+    slice by slice (``textquality.sliced_columns``), and drop the
+    ``reject_*`` tiers unless ``keep_rejects``.  A column ``t`` already
+    has is replaced in place, as pandas assignment does; the block's own
+    columns keep their Arrow types."""
+    for name, col in sliced_columns(tier_fn, t.column(text_col)).items():
+        arr = pa.array(col, pa.string() if col.dtype.kind in "OU" else None)
+        i = t.schema.get_field_index(name)
+        t = (t.set_column(i, name, arr) if i >= 0
+             else t.append_column(name, arr))
+    if keep_rejects:
+        return t
+    return t.filter(pc.invert(pc.starts_with(t["tier"], "reject_")))
 
 
 def webtext_tiers(ds: Dataset, text_col: str = "text",
@@ -148,7 +150,7 @@ def webtext_tiers(ds: Dataset, text_col: str = "text",
 
     def tiers(t: pa.Table) -> pa.Table:
         model = None if ref is None else ray.get(ref)
-        return tier_slices(t, lambda b: tier_batch(b, text_col, rules, model),
+        return tier_slices(t, lambda text: tier_columns(text, rules, model),
                            text_col, keep_rejects=keep_rejects)
 
     return ds.map_batches(tiers, batch_format="pyarrow")

@@ -183,10 +183,9 @@ def latin_profile_scores(lowered: pd.Series) -> np.ndarray:
     return scores
 
 
-def lang_id_v2_batch(batch: pd.DataFrame,
-                     text_col: str = "text") -> pd.DataFrame:
-    """Append ``lang_id_v2`` (str) per the frozen two-pass rule above."""
-    t = batch[text_col].fillna("").astype(str)
+def lang_id_v2_labels(texts: pd.Series) -> np.ndarray:
+    """``lang_id_v2`` of each text per the frozen two-pass rule above."""
+    t = texts.fillna("").astype(str)
     counts = {name: t.str.count(rx).to_numpy(np.int64)
               for name, rx, _ in _SCRIPTS}
     lowered = pd.Series(t.str.lower().to_numpy(), index=range(len(t)))
@@ -212,9 +211,15 @@ def lang_id_v2_batch(batch: pd.DataFrame,
     kana, han, latin = counts["kana"], counts["han"], counts["latin"]
     ja = (kana > 0) & (kana + han >= latin)
     lang = np.where(ja, "ja", lang)
-    lang = np.where(nonzero, lang, "und")
+    return np.where(nonzero, lang, "und").astype(object)
+
+
+def lang_id_v2_batch(batch: pd.DataFrame,
+                     text_col: str = "text") -> pd.DataFrame:
+    """Append ``lang_id_v2`` (str) per the frozen two-pass rule above."""
     batch = batch.copy()
-    batch["lang_id_v2"] = pd.Series(lang, index=batch.index, dtype=object)
+    batch["lang_id_v2"] = pd.Series(lang_id_v2_labels(batch[text_col]),
+                                    index=batch.index, dtype=object)
     return batch
 
 

@@ -13,20 +13,21 @@ This module freezes:
 * ``LANG_STOPWORDS`` — per-language ASCII stop profiles for the 8
   Latin-script languages the v2 classifier separates
   (stages/langid.py).  Drawn from the same public function-word
-  inventories as the langid profiles, restricted to ASCII ≤9 chars so
-  the existing packed-run counting kernel
-  (stages/textquality._stop_counts) applies unchanged — the per-word
-  cost is identical to the English path.  ``en`` IS the corpus-wide
+  inventories as the langid profiles, restricted to ``[a-z0-9]+`` words
+  so the corpus stop-count kernel (stages/textquality.stop_counts)
+  applies unchanged: every profile is one ``is_in`` over the batch's
+  word dictionary.  ``en`` IS the corpus-wide
   ``STOPWORDS`` tuple, so English documents tier bit-identically under
   both rule packs (the compatibility invariant the pytest freezes).
 * ``LANG_TIER_RULES`` — per-language ``min_stop_ratio`` thresholds
   (the CCNet shape: one calibrated threshold per language; all start at
   the corpus default and are overridable per deployment).
-* ``tier_batch_lang`` / ``webtext_tiers_lang`` — the fused stage:
+* ``tier_columns_lang`` / ``webtext_tiers_lang`` — the fused stage:
   language ID + repetition + quality signals + per-language stop ratio
-  + tier label, ONE narrow ``map_batches`` (zero shuffles; the language
-  split adds at most 8 vectorized sub-calls per batch, each over that
-  language's rows only).
+  + tier label, ONE narrow ``map_batches`` over Arrow blocks (zero
+  shuffles; the signals share one lowering of the text with the English
+  stop count, and each language present adds one ``is_in`` over the
+  word dictionary).  ``tier_batch_lang`` is the same over pandas.
 
 Fallback rule (frozen): a document whose language has no profile
 (ko/zh/ru/ja/el/ar/he/th/und — non-Latin scripts where a Latin stopword
@@ -46,18 +47,20 @@ import pandas as pd
 import pyarrow as pa
 from ray.data import Dataset
 
-from pdf_extract_ray.stages.langid import lang_id_v2_batch
+from pdf_extract_ray.stages.langid import lang_id_v2_labels
 from pdf_extract_ray.stages.textquality import (
     STOPWORDS,
-    _stop_counts,
-    pack_stop_keys,
-    quality_score_batch,
-    repetition_stats_batch,
+    check_stop_profile,
+    lowered_docs,
+    quality_signals,
+    repetition_signals,
+    sliced_columns,
+    stop_counts,
 )
 from pdf_extract_ray.util import round_half_away
 
-# frozen per-language stop profiles (ASCII-only, ≤9 chars — asserted by
-# pack_stop_keys).  en == textquality.STOPWORDS by construction.
+# frozen per-language stop profiles ([a-z0-9]+ words — asserted by
+# check_stop_profile).  en == textquality.STOPWORDS by construction.
 LANG_STOPWORDS: dict[str, tuple[str, ...]] = {
     "en": STOPWORDS,
     "de": ("der", "die", "das", "und", "ist", "nicht", "von", "mit",
@@ -84,24 +87,42 @@ LANG_TIER_RULES: dict[str, float] = {
     lang: DEFAULT_MIN_STOP_RATIO for lang in LANG_STOPWORDS
 }
 
-_LANG_KEYS = {lang: pack_stop_keys(ws) for lang, ws in LANG_STOPWORDS.items()}
-_DEFAULT_KEYS = _LANG_KEYS["en"]
+for _words in LANG_STOPWORDS.values():
+    check_stop_profile(_words)
 
 
-def stop_counts_by_lang(texts: pd.Series, langs) -> np.ndarray:
-    """Per-document stopword occurrences, each document counted against
-    ITS language's frozen profile (English fallback for unprofiled
-    languages).  Vectorized per language present in the batch — at most
-    ``len(LANG_STOPWORDS)`` kernel calls, each over a row subset."""
-    vals = texts.fillna("").astype(str).to_numpy()
-    langs = np.asarray(langs, dtype=object)
-    out = np.zeros(len(vals), dtype=np.int64)
-    for lg in pd.unique(langs):
-        sel = langs == lg
-        keys, maxlen = _LANG_KEYS.get(lg, _DEFAULT_KEYS)
-        out[sel] = _stop_counts(pd.Series(vals[sel]), int(sel.sum()),
-                                keys, maxlen)
-    return out
+def tier_columns_lang(
+    text,
+    rules: dict | None = None,
+    lang_rules: dict[str, float] = LANG_TIER_RULES,
+    nb_model: dict | None = None,
+) -> dict[str, np.ndarray]:
+    """Per-language tier columns of one Arrow text slice (see
+    ``textquality.sliced_columns``), in output order: ``lang_id_v2``, the
+    corpus signal columns, ``stop_ratio_lang``, then
+    ``webtext.label_tiers``' columns.
+
+    Rule order is the frozen ``webtext.tier_columns`` order; only the
+    ``tier1`` gate changes: ``stop_ratio_lang >= lang_rules[lang]``
+    (default threshold for unprofiled languages), where
+    ``stop_ratio_lang`` counts the document's own language's stopwords
+    (English for a language without a profile).  All other rejects stay
+    language-independent (short/repetitive are script-agnostic
+    signals)."""
+    from pdf_extract_ray.pipelines.webtext import TIER_RULES, label_tiers
+
+    rules = TIER_RULES if rules is None else rules
+    lang = lang_id_v2_labels(text.to_pandas())
+    docs = lowered_docs(text)
+    cols = {"lang_id_v2": lang, **repetition_signals(docs),
+            **quality_signals(docs)}
+    stops = stop_counts(docs, STOPWORDS, lang, LANG_STOPWORDS)
+    cols["stop_ratio_lang"] = round_half_away(
+        stops / np.maximum(cols["n_words"], 1), 4)
+    thr = np.array([lang_rules.get(lg, DEFAULT_MIN_STOP_RATIO)
+                    for lg in lang], dtype=np.float64)
+    return label_tiers(cols, rules, cols["stop_ratio_lang"] >= thr, text,
+                       nb_model)
 
 
 def tier_batch_lang(
@@ -111,46 +132,14 @@ def tier_batch_lang(
     lang_rules: dict[str, float] = LANG_TIER_RULES,
     nb_model: dict | None = None,
 ) -> pd.DataFrame:
-    """Per-language tier labelling for one batch: appends
-    ``lang_id_v2``, the corpus signal columns, ``stop_ratio_lang`` and
-    ``tier``.
-
-    Rule order is the frozen ``webtext.tier_batch`` order; only the
-    ``tier1`` gate changes: ``stop_ratio_lang >= lang_rules[lang]``
-    (default threshold for unprofiled languages), where
-    ``stop_ratio_lang`` counts the document's own language's stopwords.
-    All other rejects stay language-independent (short/repetitive are
-    script-agnostic signals)."""
-    from pdf_extract_ray.pipelines.webtext import TIER_RULES
-
-    rules = TIER_RULES if rules is None else rules
-    out = lang_id_v2_batch(batch, text_col)
-    out = repetition_stats_batch(out, text_col)
-    out = quality_score_batch(out, text_col)
-    lang = out["lang_id_v2"].to_numpy()
-    stops = stop_counts_by_lang(out[text_col], lang)
-    n_words = out["n_words"].to_numpy()
-    out["stop_ratio_lang"] = round_half_away(
-        stops / np.maximum(n_words, 1), 4)
-    thr = np.array([lang_rules.get(lg, DEFAULT_MIN_STOP_RATIO)
-                    for lg in lang], dtype=np.float64)
-
-    conds = [
-        out["n_words"] < rules["min_words"],
-        (out["dup_word_frac"] > rules["max_dup_word_frac"])
-        | (out["max_word_run"] >= rules["max_word_run"])
-        | (out["top_bigram_frac"] > rules["max_top_bigram_frac"]),
-    ]
-    labels = ["reject_short", "reject_repetitive"]
-    if nb_model is not None:
-        from pdf_extract_ray.stages.nbquality import nb_score_batch
-
-        out = nb_score_batch(out, nb_model, text_col)
-        conds.append(out["nb_logit"] > rules.get("max_nb_logit", 0.0))
-        labels.append("reject_lowquality")
-    conds.append(out["stop_ratio_lang"].to_numpy() >= thr)
-    labels.append("tier1")
-    out["tier"] = np.select(conds, labels, default="tier2")
+    """``batch`` (index reset) with the :func:`tier_columns_lang` of its
+    ``text_col`` appended, computed slice by slice."""
+    out = batch.reset_index(drop=True).copy()
+    cols = sliced_columns(
+        lambda t: tier_columns_lang(t, rules, lang_rules, nb_model),
+        out[text_col])
+    for name, col in cols.items():
+        out[name] = col
     return out
 
 
@@ -177,8 +166,7 @@ def webtext_tiers_lang(
     def tiers(t: pa.Table) -> pa.Table:
         model = None if ref is None else ray.get(ref)
         return tier_slices(
-            t, lambda b: tier_batch_lang(b, text_col, rules, lang_rules,
-                                         model),
+            t, lambda text: tier_columns_lang(text, rules, lang_rules, model),
             text_col, keep_rejects=keep_rejects)
 
     return ds.map_batches(tiers, batch_format="pyarrow")

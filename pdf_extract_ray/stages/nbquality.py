@@ -171,20 +171,26 @@ def train_nb_quality(
         raise
 
 
-def nb_score_batch(batch: pd.DataFrame, model: dict,
-                   text_col: str = "text") -> pd.DataFrame:
-    """Append ``n_grams``, ``nb_logit``, ``nb_label`` to one batch."""
-    doc, buckets = ngram_features(batch[text_col], model["n_buckets"])
-    n_docs = len(batch)
+def nb_score_columns(texts: pd.Series, model: dict) -> dict[str, np.ndarray]:
+    """``n_grams``, ``nb_logit``, ``nb_label`` of each text."""
+    doc, buckets = ngram_features(texts, model["n_buckets"])
+    n_docs = len(texts)
     scores = np.tile(model["log_prior"], (n_docs, 1))
     if len(doc):
         np.add.at(scores, doc, model["log_cond"][buckets])
     logit = round_half_away(scores[:, 1] - scores[:, 0], 6)
     l0, l1 = model["labels"]
+    return {"n_grams": np.bincount(doc, minlength=n_docs).astype(np.int64),
+            "nb_logit": logit,
+            "nb_label": np.where(logit > 0, l1, l0)}
+
+
+def nb_score_batch(batch: pd.DataFrame, model: dict,
+                   text_col: str = "text") -> pd.DataFrame:
+    """Append ``n_grams``, ``nb_logit``, ``nb_label`` to one batch."""
     out = batch.copy()
-    out["n_grams"] = np.bincount(doc, minlength=n_docs).astype(np.int64)
-    out["nb_logit"] = logit
-    out["nb_label"] = np.where(logit > 0, l1, l0)
+    for name, col in nb_score_columns(batch[text_col], model).items():
+        out[name] = col
     return out
 
 

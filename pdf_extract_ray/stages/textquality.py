@@ -9,18 +9,20 @@ oracle can check it exactly (SURVEY.md §5.2.6); character classes are
 explicit ASCII/Hangul ranges, never locale-dependent ``\\w``.
 
 All functions are vectorized map_batches bodies over pyarrow/pandas —
-no Python loop over rows in the hot path.
+no Python loop over rows in the hot path.  The tier signals
+(``text_signals``: ``repetition_stats_batch`` + ``quality_score_batch``)
+share one kernel that reads an Arrow text column directly.
 """
 
 from __future__ import annotations
 
 import re
-
+from typing import NamedTuple
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-
+import pyarrow.compute as pc
 
 from pdf_extract_ray.util import PY_WS, round_half_away
 
@@ -28,41 +30,310 @@ from pdf_extract_ray.util import PY_WS, round_half_away
 STOPWORDS = ("the", "and", "of", "a", "to", "in", "is", "that", "for", "on")
 
 # ---------------------------------------------------------------------------
-# char-class machinery for the vectorized kernels: every document batch is
-# joined into ONE UTF-32 code array (np.frombuffer over str.encode — zero
-# Python loop over chars) and classified through lookup tables, so the
-# per-doc counts are O(total_chars) numpy passes.  Semantics are EXACTLY
-# Python re's (the oracle SQL mirrors the Python whitespace class via
-# PY_WS, and \w/\b below are resolved through re itself).
+# The tier-signal kernel: the quality and repetition signals of one text
+# column.  A batch is lowercased ONCE, as one string in which every
+# document is prefixed with a space.  The space is whitespace, not \w and
+# not [a-z0-9], so every run a signal counts ends at a document edge, and
+# it is uncased, so lowering one document cannot see its neighbour's
+# letters.  That string becomes ONE UTF-32 code array, classified by one
+# lookup into ``_FLAGS``, and every per-document count is a searchsorted
+# of sorted code offsets against the document bounds: no per-character
+# doc-id array.  The ``[a-z0-9]+`` words are cut out of the code array
+# into one Arrow string array and dictionary-encoded in Arrow: no Python
+# object per word.  Semantics are EXACTLY Python re's over
+# ``str.lower()`` (the oracle SQL mirrors the whitespace class via PY_WS;
+# \w is resolved through re itself).
+#
+# Lowering first is exact for the quality counts too: str.lower() maps
+# whitespace, the sentence punctuation and the ASCII digits to themselves,
+# maps nothing else to them, and changes a length only for U+0130
+# (İ -> "i" + U+0307).  tests/test_textquality_fast.py checks these facts
+# over every codepoint.
 # ---------------------------------------------------------------------------
 
-_F_WS, _F_PUNCT, _F_DIGIT = 1, 2, 4
-_FLAGS_TB = np.zeros(0x3001, dtype=np.uint8)  # no \s char exists > U+3000
-for _c in PY_WS:
-    _FLAGS_TB[ord(_c)] |= _F_WS
-for _c in ".,!?;:":
-    _FLAGS_TB[ord(_c)] |= _F_PUNCT
-for _c in "0123456789":
-    _FLAGS_TB[ord(_c)] |= _F_DIGIT
-
-# Python-re \w per codepoint (defines the \b boundaries the stopword rule
-# uses).  Filled eagerly for the Latin/Cyrillic BMP head, lazily for any
-# higher codepoint a batch actually contains (Hangul etc.) — the table is
-# per-process, so each worker pays the probe once per new script.
+_WS, _PUNCT, _DIGIT, _ALNUM, _WORD, _KNOWN = 1, 2, 4, 8, 16, 32
+# class bits per codepoint; ``_KNOWN`` marks a resolved \w bit, so a code
+# whose flags are 0 has not been classified yet
+_FLAGS = np.zeros(0x110000, dtype=np.uint8)
 _W_RE = re.compile(r"\w")
-_WORD_TB = np.zeros(0x110000, dtype=bool)
-_WORD_KNOWN = np.zeros(0x110000, dtype=bool)
-for _c in range(0x600):
-    _WORD_TB[_c] = bool(_W_RE.match(chr(_c)))
-_WORD_KNOWN[:0x600] = True
+_I_DOT = "İ"  # İ, the one codepoint whose lowercase is two chars
 
 
-def _ensure_word_codes(codes: np.ndarray) -> None:
-    unknown = codes[~_WORD_KNOWN[codes]]
-    if len(unknown):
-        for c in np.unique(unknown):
-            _WORD_TB[c] = bool(_W_RE.match(chr(c)))
-            _WORD_KNOWN[c] = True
+def _resolve_word(codes) -> None:
+    for c in codes:
+        _FLAGS[c] |= _KNOWN | (_WORD if _W_RE.match(chr(c)) else 0)
+
+
+for _c in PY_WS:
+    _FLAGS[ord(_c)] |= _WS
+for _c in ".,!?;:":
+    _FLAGS[ord(_c)] |= _PUNCT
+for _c in "0123456789":
+    _FLAGS[ord(_c)] |= _DIGIT
+for _c in "abcdefghijklmnopqrstuvwxyz0123456789":
+    _FLAGS[ord(_c)] |= _ALNUM
+# \w eagerly for the Latin/Cyrillic BMP head, lazily (``_classify``) for
+# any higher codepoint a batch contains: each worker probes a script once
+# (a whitespace char above the head has its bit already and is not \w)
+_resolve_word(range(0x600))
+
+
+def _classify(codes: np.ndarray) -> np.ndarray:
+    flags = np.empty(len(codes) + 1, dtype=np.uint8)
+    np.take(_FLAGS, codes, out=flags[:-1])
+    flags[-1] = _WS | _KNOWN   # a sentinel that ends every run
+    if not flags.all():
+        _resolve_word(np.unique(codes[flags[:-1] == 0]).tolist())
+        np.take(_FLAGS, codes, out=flags[:-1])
+    return flags
+
+
+class LoweredDocs(NamedTuple):
+    """One batch of texts lowercased once and laid out for the signals."""
+    codes: np.ndarray     # uint32 codepoints of " " + doc0.lower() + " " ...
+    flags: np.ndarray     # class bits of ``codes``, then a whitespace sentinel
+    bounds: np.ndarray    # int64 [start0, end0, start1, end1, ...] in codes
+    n_chars: np.ndarray   # int64 length of each document before lowering
+    start: np.ndarray     # code offset of each [a-z0-9]+ word ...
+    end: np.ndarray       # ... and of the char after it
+    doc: np.ndarray       # the document of each word
+    wid: np.ndarray       # int64 id of each word, dense: vocab[wid] == word
+    vocab: pa.Array       # the distinct words
+
+    @property
+    def nb(self) -> int:
+        return len(self.n_chars)
+
+    def per_doc(self, pos: np.ndarray) -> np.ndarray:
+        """How many of the sorted code offsets ``pos`` fall in each doc."""
+        return _count_in(pos, self.bounds)
+
+
+def _count_in(pos: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    idx = np.searchsorted(pos, bounds)
+    return (idx[1::2] - idx[0::2]).astype(np.int64)
+
+
+def _text_array(text) -> pa.Array:
+    """A pandas Series or Arrow (chunked) array of texts as one Arrow
+    string array, nulls as empty strings."""
+    if isinstance(text, pd.Series):
+        text = pa.array(text.to_numpy(dtype=object), pa.large_string(),
+                        from_pandas=True)
+    elif isinstance(text, pa.ChunkedArray):
+        text = (text.chunk(0) if text.num_chunks == 1
+                else text.combine_chunks())
+    if not (pa.types.is_string(text.type)
+            or pa.types.is_large_string(text.type)):
+        text = text.cast(pa.large_string())
+    return pc.fill_null(text, pa.scalar("", text.type))
+
+
+def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(start, end) offsets of the maximal True runs of ``mask``, which
+    starts and ends False."""
+    edges = np.flatnonzero(np.diff(mask.view(np.int8))) + 1
+    return edges[0::2], edges[1::2]
+
+
+def lowered_docs(text) -> LoweredDocs:
+    """Lowercase a text column (pandas Series or Arrow array) once and cut
+    out its words."""
+    text = _text_array(text)
+    n_chars = pc.utf8_length(text).to_numpy().astype(np.int64)
+    nb = len(n_chars)
+    low = ""
+    if nb:
+        joined = pc.binary_join_element_wise(
+            pa.scalar(" ", text.type), text, pa.scalar("", text.type))
+        _, offsets, data = joined.buffers()
+        width = np.int64 if pa.types.is_large_string(text.type) else np.int32
+        a, b = np.frombuffer(offsets, dtype=width)[
+            [joined.offset, joined.offset + nb]]
+        low = str(memoryview(data)[a:b], "utf-8")
+    low_chars = n_chars
+    if _I_DOT in low:
+        low_chars = n_chars + pc.count_substring(text, _I_DOT).to_numpy()
+    codes = np.frombuffer(low.lower().encode("utf-32-le"), dtype=np.uint32)
+    ends = np.cumsum(low_chars + 1)
+    if nb and ends[-1] != len(codes):
+        raise AssertionError("str.lower() changed the length of a char "
+                             "other than U+0130")
+    bounds = np.empty(2 * nb, dtype=np.int64)
+    bounds[0::2] = ends - low_chars
+    bounds[1::2] = ends
+    flags = _classify(codes)
+
+    alnum = (flags & _ALNUM) != 0
+    start, end = _runs(alnum)
+    length = end - start
+    offsets = np.zeros(len(start) + 1, dtype=np.int64)
+    np.cumsum(length, out=offsets[1:])
+    words = pa.LargeStringArray.from_buffers(
+        len(start), pa.py_buffer(offsets),
+        pa.py_buffer(codes[alnum[:-1]].astype(np.uint8)))
+    enc = pc.dictionary_encode(words)
+    doc = np.repeat(np.arange(nb, dtype=np.int64), _count_in(start, bounds))
+    return LoweredDocs(codes, flags, bounds, n_chars, start, end, doc,
+                       enc.indices.to_numpy().astype(np.int64),
+                       enc.dictionary)
+
+
+def check_stop_profile(words) -> tuple[str, ...]:
+    """A frozen stopword profile, checked: every word must be lowercase
+    ``[a-z0-9]+``, so that a stopword match is one of the batch's words
+    with no other \\w char on either side (``stop_counts``)."""
+    words = tuple(words)
+    bad = [w for w in words if not re.fullmatch(r"[a-z0-9]+", w)]
+    if bad or not words:
+        raise ValueError(f"stopwords must be [a-z0-9]+: {bad or words}")
+    return words
+
+
+def _is_in(vocab: pa.Array, words) -> np.ndarray:
+    return pc.is_in(vocab, value_set=pa.array(words, vocab.type)).to_numpy(
+        zero_copy_only=False)
+
+
+def stop_counts(docs: LoweredDocs, words=STOPWORDS,
+                lang_of_doc: np.ndarray | None = None,
+                profiles: dict | None = None) -> np.ndarray:
+    """Occurrences of ``\\b(?:stopword)\\b`` in each lowercased document.
+
+    Inside a maximal \\w run no \\b exists, so a match is exactly a \\w
+    run whose whole content is a stopword; as stopwords are
+    ``[a-z0-9]+``, that is a word of ``docs`` with no \\w char next to
+    it.  ``words`` is the profile of every document, unless
+    ``lang_of_doc`` names a language per document: then each document
+    counts its language's ``profiles`` entry, ``words`` for the rest."""
+    if lang_of_doc is None:
+        is_stop = _is_in(docs.vocab, words)[docs.wid]
+    else:
+        lang, langs = pd.factorize(np.asarray(lang_of_doc, dtype=object))
+        table = np.array(
+            [_is_in(docs.vocab, profiles.get(lg, words)) for lg in langs],
+            dtype=bool).reshape(len(langs), len(docs.vocab))
+        is_stop = table[lang[docs.doc], docs.wid]
+    edge = docs.flags[docs.start - 1] | docs.flags[docs.end]
+    return docs.per_doc(docs.start[is_stop & ((edge & _WORD) == 0)])
+
+
+def quality_signals(docs: LoweredDocs) -> dict[str, np.ndarray]:
+    """``punct_ratio``, ``digit_ratio``, ``stop_ratio``, ``mean_word_len``
+    (see ``quality_score_batch``)."""
+    pos = np.flatnonzero(docs.flags & (_WS | _PUNCT | _DIGIT))
+    cls = docs.flags[pos]
+    ws = pos[(cls & _WS) != 0]
+    punct = docs.per_doc(pos[(cls & _PUNCT) != 0])
+    digits = docs.per_doc(pos[(cls & _DIGIT) != 0])
+    # len(s.split()) == number of non-\s runs, each of which starts right
+    # after a whitespace char (a doc's leading space at the latest)
+    n_words = docs.per_doc(ws[:-1][np.diff(ws) > 1] + 1)
+    word_chars = docs.n_chars - docs.per_doc(ws)
+    stops = stop_counts(docs)
+    safe_chars = np.maximum(docs.n_chars, 1).astype(np.float64)
+    safe_words = np.maximum(n_words, 1).astype(np.float64)
+    return {
+        "punct_ratio": round_half_away(punct / safe_chars, 4),
+        "digit_ratio": round_half_away(digits / safe_chars, 4),
+        "stop_ratio": round_half_away(stops / safe_words, 4),
+        "mean_word_len": round_half_away(word_chars / safe_words, 4),
+    }
+
+
+def _per_doc_max(doc: np.ndarray, vals: np.ndarray, nb: int) -> np.ndarray:
+    """Per-document max of ``vals`` grouped by the sorted ``doc``."""
+    out = np.zeros(nb, dtype=np.int64)
+    if len(doc):
+        first = np.flatnonzero(np.diff(doc, prepend=-1))
+        out[doc[first]] = np.maximum.reduceat(vals, first)
+    return out
+
+
+def repetition_signals(docs: LoweredDocs) -> dict[str, np.ndarray]:
+    """``n_words``, ``dup_word_frac``, ``top_word_frac``,
+    ``top_bigram_frac``, ``max_word_run`` (see ``repetition_stats_batch``)
+    over the ``[a-z0-9]+`` words of each lowercased document."""
+    nb, doc, wid = docs.nb, docs.doc, docs.wid
+    n = docs.per_doc(docs.start)
+    distinct = top = btop = max_run = np.zeros(nb, dtype=np.int64)
+    if len(wid):
+        # every grouped count is a composite-integer np.unique, sorted by
+        # doc, so per-doc maxima are reduceats
+        C = np.int64(len(docs.vocab))
+        uk, cnt = np.unique(doc * C + wid, return_counts=True)
+        distinct = np.bincount(uk // C, minlength=nb)
+        top = _per_doc_max(uk // C, cnt, nb)
+
+        # adjacent bigrams: consecutive word pairs within the same doc
+        same = doc[1:] == doc[:-1]
+        if same.any():
+            pk, pinv = np.unique(wid[:-1][same] * C + wid[1:][same],
+                                 return_inverse=True)
+            P = np.int64(len(pk))
+            bk, bcnt = np.unique(doc[1:][same] * P + pinv, return_counts=True)
+            btop = _per_doc_max(bk // P, bcnt, nb)
+
+        # longest consecutive run: a new run where the word or doc changes
+        brk = np.empty(len(wid), dtype=bool)
+        brk[0] = True
+        brk[1:] = (wid[1:] != wid[:-1]) | ~same
+        ridx = np.flatnonzero(brk)
+        max_run = _per_doc_max(doc[ridx], np.diff(ridx, append=len(wid)), nb)
+
+    nf = n.astype(np.float64)
+    safe = np.maximum(nf, 1.0)
+    safe_bi = np.maximum(nf - 1.0, 1.0)
+    return {
+        "n_words": n,
+        "dup_word_frac": np.where(
+            n > 0, round_half_away(1.0 - distinct / safe, 4), 0.0),
+        "top_word_frac": np.where(n > 0, round_half_away(top / safe, 4), 0.0),
+        "top_bigram_frac": np.where(
+            n > 1, round_half_away(btop / safe_bi, 4), 0.0),
+        "max_word_run": max_run,
+    }
+
+
+def text_signals(text) -> dict[str, np.ndarray]:
+    """The nine tier signals of a text column (pandas Series or Arrow
+    array), in ``repetition_stats_batch`` then ``quality_score_batch``
+    column order, from one lowering of the text."""
+    docs = lowered_docs(text)
+    return {**repetition_signals(docs), **quality_signals(docs)}
+
+
+# text bytes per kernel call.  The kernel's heap grows with the text it is
+# given: its numpy peak is ~18 B per char (tracemalloc: 7.1 MiB on a
+# 512 KiB slice of 412k chars of the perfbench webtext docs; 44 B per char
+# for the pandas kernel it replaced), plus Arrow's copy of the slice and
+# its word dictionary.  Callers cut a batch into slices of this size, so
+# the heap does not grow with the batch.
+TIER_SLICE_BYTES = 512 << 10
+
+
+def text_slices(text: pa.Array, limit: int) -> list[tuple[int, int]]:
+    """``(start, stop)`` row ranges of a null-free text array holding at
+    most ``limit`` bytes each (a longer row gets a range of its own);
+    zero rows get one empty range."""
+    ends = np.cumsum(pc.binary_length(text).to_numpy())
+    bounds = [0]
+    while bounds[-1] < len(text):
+        start = bounds[-1]
+        base = ends[start - 1] if start else 0
+        stop = int(np.searchsorted(ends, base + limit, side="right"))
+        bounds.append(max(stop, start + 1))
+    return list(zip(bounds, bounds[1:])) or [(0, 0)]
+
+
+def sliced_columns(fn, text) -> dict[str, np.ndarray]:
+    """``fn`` over slices of at most ``TIER_SLICE_BYTES`` of a text column
+    (pandas Series or Arrow array; nulls become empty strings), its
+    per-row columns concatenated."""
+    text = _text_array(text)
+    parts = [fn(text.slice(a, b - a))
+             for a, b in text_slices(text, TIER_SLICE_BYTES)]
+    return {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
 
 
 def _joined_codes(vals: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -75,86 +346,6 @@ def _joined_codes(vals: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     codes = np.frombuffer(joined.encode("utf-32-le"), dtype=np.uint32)
     return codes, n_chars, starts
 
-
-# stopwords packed 7 bits/char (all ASCII; padding 0 is unambiguous — no
-# \w char is NUL, so "a" and a 2-char run can never collide)
-def _pack_stop(word: str) -> int:
-    k = 0
-    for j, ch in enumerate(word):
-        k |= ord(ch) << (7 * j)
-    return k
-
-
-_STOP_MAXLEN = max(len(w) for w in STOPWORDS)
-_STOP_KEYS = np.array(sorted(_pack_stop(w) for w in STOPWORDS), dtype=np.int64)
-
-
-def pack_stop_keys(words) -> tuple[np.ndarray, int]:
-    """Pack an arbitrary frozen ASCII stopword list into the int64 key
-    set ``_stop_counts`` compares runs against.  7 bits/char means at
-    most 9 chars per word (63 bits) and ASCII only — both asserted, not
-    silently truncated (per-language profiles are frozen constants, so a
-    violation is a programming error, not data)."""
-    words = tuple(words)
-    maxlen = max(len(w) for w in words)
-    if maxlen > 9:
-        raise ValueError(f"stopword longer than 9 chars: {words}")
-    bad = [w for w in words if any(ord(c) >= 128 for c in w)]
-    if bad:
-        raise ValueError(f"non-ASCII stopwords not packable: {bad}")
-    return (np.array(sorted(_pack_stop(w) for w in words),
-                     dtype=np.int64), maxlen)
-
-
-def _stop_counts(t: pd.Series, nb: int,
-                 keys: np.ndarray = _STOP_KEYS,
-                 maxlen: int = _STOP_MAXLEN) -> np.ndarray:
-    """Occurrences of ``\\b(?:stopword)\\b`` in each lowercased doc.
-
-    Inside a maximal \\w-run no \\b exists, so a boundary-delimited match
-    is exactly a run whose whole content equals a stopword — counted here
-    by extracting run starts/ends over the joined code array and packing
-    short runs into ints compared against the packed stopword set.
-
-    ``keys``/``maxlen`` default to the frozen English ``STOPWORDS``;
-    pass ``pack_stop_keys(...)`` output to count a different frozen
-    profile (the per-language tier rules in stages/langquality.py)."""
-    lowvals = t.str.lower().tolist()
-    codes, _llens, lstarts = _joined_codes(lowvals)
-    total = len(codes)
-    if total == 0:
-        return np.zeros(nb, dtype=np.int64)
-    _ensure_word_codes(codes)
-    isw = _WORD_TB[codes]
-    doc_start = np.zeros(total, dtype=bool)
-    s = lstarts[:-1]
-    doc_start[s[s < total]] = True
-    prev_nw = np.empty(total, dtype=bool)
-    prev_nw[0] = True
-    prev_nw[1:] = ~isw[:-1]
-    rstart = isw & (prev_nw | doc_start)
-    nxt_nw = np.empty(total, dtype=bool)
-    nxt_nw[-1] = True
-    nxt_nw[:-1] = ~isw[1:] | doc_start[1:]
-    rend = isw & nxt_nw
-    sidx = np.nonzero(rstart)[0]
-    if not len(sidx):
-        return np.zeros(nb, dtype=np.int64)
-    rlen = np.nonzero(rend)[0] - sidx + 1
-    cand = rlen <= maxlen
-    cs, cl = sidx[cand], rlen[cand]
-    gathered = [np.where(cl > j,
-                         codes[np.minimum(cs + j, total - 1)].astype(np.int64),
-                         0) for j in range(maxlen)]
-    valid = np.ones(len(cs), dtype=bool)
-    key = np.zeros(len(cs), dtype=np.int64)
-    for j, cj in enumerate(gathered):
-        valid &= cj < 128
-        key |= cj << (7 * j)
-    key = np.where(valid, key, np.int64(-1))
-    hit = np.isin(key, keys)
-    doc = np.searchsorted(lstarts, cs[hit], side="right") - 1
-    return np.bincount(doc, minlength=nb)
 
 # ASCII-word-or-single-symbol tokenizer ("BPE-ish"): matches DuckDB
 # regexp_extract_all(text, '[A-Za-z0-9_]+|[^A-Za-z0-9_ ]')
@@ -212,42 +403,13 @@ def quality_score_batch(batch: pd.DataFrame, text_col: str = "text") -> pd.DataF
       * digit_ratio  = digit chars / chars
       * stop_ratio   = stopword occurrences / whitespace words
       * mean_word_len = chars-in-words / words
-    """
-    t = batch[text_col].fillna("")
-    nb = len(t)
-    if nb == 0:
-        for c in ("punct_ratio", "digit_ratio", "stop_ratio", "mean_word_len"):
-            batch[c] = np.zeros(0, dtype=np.float64)
-        return batch
-    codes, n_chars, starts = _joined_codes(t.tolist())
-    total = len(codes)
-    # one flags gather classifies every char; flags[0]=0 so codepoints
-    # above the \s ceiling map harmlessly to "no class"
-    flags = _FLAGS_TB[np.where(codes < 0x3001, codes, 0)]
-    doc_ids = np.repeat(np.arange(nb, dtype=np.int64), n_chars)
-    ws = (flags & _F_WS) != 0
-    punct = np.bincount(doc_ids[(flags & _F_PUNCT) != 0], minlength=nb)
-    digits = np.bincount(doc_ids[(flags & _F_DIGIT) != 0], minlength=nb)
-    ws_c = np.bincount(doc_ids[ws], minlength=nb)
-    word_chars = n_chars - ws_c          # == len after stripping all \s
-    # len(s.split()) == number of non-\s runs (doc starts break runs)
-    if total:
-        prev_ws = np.empty(total, dtype=bool)
-        prev_ws[0] = True
-        prev_ws[1:] = ws[:-1]
-        s = starts[:-1]
-        prev_ws[s[s < total]] = True
-        n_words = np.bincount(doc_ids[~ws & prev_ws], minlength=nb)
-    else:
-        n_words = np.zeros(nb, dtype=np.int64)
-    stops = _stop_counts(t, nb)
 
-    safe_chars = np.maximum(n_chars, 1).astype(np.float64)
-    safe_words = np.maximum(n_words, 1).astype(np.float64)
-    batch["punct_ratio"] = round_half_away(punct / safe_chars, 4)
-    batch["digit_ratio"] = round_half_away(digits / safe_chars, 4)
-    batch["stop_ratio"] = round_half_away(stops / safe_words, 4)
-    batch["mean_word_len"] = round_half_away(word_chars / safe_words, 4)
+    Computed by the tier-signal kernel (``quality_signals``) over slices
+    of the batch; the batch's index is kept."""
+    cols = sliced_columns(lambda t: quality_signals(lowered_docs(t)),
+                          batch[text_col])
+    for name, col in cols.items():
+        batch[name] = col
     return batch
 
 
@@ -953,70 +1115,14 @@ def repetition_stats_batch(batch: pd.DataFrame,
     Heavily repeated boilerplate scores high and gets filtered before
     training.
 
-    Batch-local, no corpus state, no shuffle.  Vectorized via one explode
-    + grouped counts (no Python loop over rows); every rule mirrors in
-    DuckDB SQL (unnest + window functions) for the driver oracle."""
-    low = (batch[text_col].fillna("").str.lower()
-           .reset_index(drop=True))
-    words = low.str.findall(_WORD_ONLY_RE)
-    n = words.str.len().to_numpy(dtype=np.int64)
-    nb = len(low)
-    flat = [w for lst in words for w in lst]
-
-    if flat:
-        # words -> int codes once; every grouped count below is then a
-        # composite-integer np.unique + reduceat (no string groupbys)
-        codes, uniq = pd.factorize(np.asarray(flat, dtype=object))
-        codes = codes.astype(np.int64)
-        i = np.repeat(np.arange(nb, dtype=np.int64), n)
-        C = np.int64(len(uniq))
-
-        def _per_doc_max(doc_of: np.ndarray, cnt: np.ndarray) -> np.ndarray:
-            out = np.zeros(nb, dtype=np.int64)
-            if len(doc_of):
-                bnd = np.nonzero(np.diff(doc_of, prepend=-1))[0]
-                out[doc_of[bnd]] = np.maximum.reduceat(cnt, bnd)
-            return out
-
-        uk, cnt = np.unique(i * C + codes, return_counts=True)
-        doc_of = uk // C
-        distinct = np.bincount(doc_of, minlength=nb)
-        top = _per_doc_max(doc_of, cnt)
-
-        # adjacent bigrams: consecutive word pairs within the same doc
-        adj = i[:-1] == i[1:]
-        if adj.any():
-            pair = codes[:-1][adj] * C + codes[1:][adj]
-            pk, pinv = np.unique(pair, return_inverse=True)
-            P = np.int64(len(pk))
-            ukk, bcnt = np.unique(i[:-1][adj] * P + pinv,
-                                  return_counts=True)
-            btop = _per_doc_max(ukk // P, bcnt)
-        else:
-            btop = np.zeros(nb, dtype=np.int64)
-
-        # longest consecutive run: new run where word or doc changes
-        brk = np.empty(len(codes), dtype=bool)
-        brk[0] = True
-        brk[1:] = (codes[1:] != codes[:-1]) | (i[1:] != i[:-1])
-        ridx = np.nonzero(brk)[0]
-        rlen = np.diff(np.append(ridx, len(codes)))
-        max_run = _per_doc_max(i[ridx], rlen)
-    else:
-        distinct = top = btop = max_run = np.zeros(nb, dtype=np.int64)
-
-    nf = n.astype(np.float64)
-    safe = np.maximum(nf, 1.0)
-    safe_bi = np.maximum(nf - 1.0, 1.0)
+    Batch-local, no corpus state, no shuffle: the tier-signal kernel
+    (``repetition_signals``) over slices of the batch; every rule mirrors
+    in DuckDB SQL (unnest + window functions) for the oracle."""
     out = batch.reset_index(drop=True).copy()
-    out["n_words"] = n
-    out["dup_word_frac"] = np.where(
-        n > 0, round_half_away(1.0 - distinct / safe, 4), 0.0)
-    out["top_word_frac"] = np.where(
-        n > 0, round_half_away(top / safe, 4), 0.0)
-    out["top_bigram_frac"] = np.where(
-        n > 1, round_half_away(btop / safe_bi, 4), 0.0)
-    out["max_word_run"] = max_run.astype(np.int64)
+    cols = sliced_columns(lambda t: repetition_signals(lowered_docs(t)),
+                          out[text_col])
+    for name, col in cols.items():
+        out[name] = col
     return out
 
 

@@ -17,7 +17,6 @@ from pdf_extract_ray.stages.langquality import (
     LANG_STOPWORDS,
     LANG_TIER_RULES,
     reference_signals,
-    stop_counts_by_lang,
     tier_batch_lang,
     webtext_tiers_lang,
 )
@@ -34,15 +33,17 @@ REPETITIVE = ("the spam spam spam is " + " ".join(
 
 
 def test_profiles_frozen_and_packable():
-    # every profile must stay ASCII <=9 chars (the packed-kernel
+    # every profile word must stay [a-z0-9]+ (the stop-count kernel's
     # contract) and en must BE the corpus stopword list
+    import re
+
     from pdf_extract_ray.stages.textquality import STOPWORDS
 
     assert LANG_STOPWORDS["en"] == STOPWORDS
     for lang, ws in LANG_STOPWORDS.items():
         assert ws, lang
         for w in ws:
-            assert len(w) <= 9 and all(ord(c) < 128 for c in w), (lang, w)
+            assert re.fullmatch("[a-z0-9]+", w), (lang, w)
     assert set(LANG_TIER_RULES) == set(LANG_STOPWORDS)
     assert all(v == DEFAULT_MIN_STOP_RATIO
                for v in LANG_TIER_RULES.values())
@@ -108,26 +109,36 @@ def test_unprofiled_language_falls_back_to_default_profile():
 
 
 def test_stop_counts_by_lang_matches_single_lang_kernel():
-    from pdf_extract_ray.stages.textquality import _stop_counts, pack_stop_keys
+    import re
 
-    texts = pd.Series([FR, FR, DE])
-    langs = np.array(["fr", "fr", "de"], dtype=object)
-    got = stop_counts_by_lang(texts, langs)
-    for lang in ("fr", "de"):
-        keys, maxlen = pack_stop_keys(LANG_STOPWORDS[lang])
+    from pdf_extract_ray.stages.textquality import (
+        STOPWORDS,
+        lowered_docs,
+        stop_counts,
+    )
+
+    texts = pd.Series([FR, FR, DE, EN, "보고서는 the and der", None])
+    langs = np.array(["fr", "fr", "de", "en", "ko", "und"], dtype=object)
+    got = stop_counts(lowered_docs(texts), STOPWORDS, langs, LANG_STOPWORDS)
+    for lang in pd.unique(langs):
         sel = langs == lang
-        exp = _stop_counts(pd.Series(texts[sel].to_numpy()),
-                           int(sel.sum()), keys, maxlen)
-        assert np.array_equal(got[sel], exp)
+        words = LANG_STOPWORDS.get(lang, STOPWORDS)
+        exp = stop_counts(lowered_docs(texts[sel]), words)
+        assert np.array_equal(got[sel], exp), lang
+        rx = re.compile(r"\b(?:" + "|".join(words) + r")\b")
+        assert list(exp) == [len(rx.findall((t or "").lower()))
+                             for t in texts[sel]], lang
+    assert got[4] == 2   # ko falls back to the English profile
 
 
-def test_pack_stop_keys_rejects_bad_profiles():
-    from pdf_extract_ray.stages.textquality import pack_stop_keys
+def test_check_stop_profile_rejects_bad_profiles():
+    from pdf_extract_ray.stages.textquality import check_stop_profile
 
-    with pytest.raises(ValueError, match="longer than 9"):
-        pack_stop_keys(("overlylongword",))
-    with pytest.raises(ValueError, match="non-ASCII"):
-        pack_stop_keys(("für",))
+    for bad in (("für",), ("Der",), ("a_b",), ("to be",), ()):
+        with pytest.raises(ValueError, match=r"\[a-z0-9\]\+"):
+            check_stop_profile(bad)
+    assert check_stop_profile(["overlylongword", "2nd"]) == (
+        "overlylongword", "2nd")
 
 
 def test_dataset_level_and_partitioning_independent(ray_session):

@@ -60,8 +60,10 @@ def test_length_outlier_sql_parity(ray_session):
     got = (length_outlier_trim(rd.from_pandas(df).repartition(3),
                                lower_pct=5, upper_pct=95)
            .to_pandas().sort_values("doc_id").reset_index(drop=True))
+    import os
     import sys
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
     from __ray_entry__ import _word_count_sql
 
     con = duckdb.connect()

@@ -137,6 +137,68 @@ def test_repetition_matches_reference():
             fast[col].to_numpy(), ref[col].to_numpy(), err_msg=col)
 
 
+# a mixed alphabet: ASCII (both cases), digits, punctuation, whitespace,
+# Hangul, and the codepoints whose lowercase is special
+_FUZZ_ALPHABET = (list("abcdeiklmnorstTHEANDOFISKZ0123456789_.,!?;: -\n\t")
+                  + list("한국어문서") + ["\u3000", "\u00a0", "\u0130",
+                                     "\u212a", "\u03a3", "\u03c3", "\u01c5",
+                                     "\ufb03", "\u0663", "\u0307", "\u00e9"]
+                  + ["the ", "and ", " a ", "of", "to", " in ", "is"])
+
+
+def _fuzz_frame(rng) -> pd.DataFrame:
+    texts = ["".join(rng.choice(_FUZZ_ALPHABET,
+                                size=int(rng.integers(0, 120))))
+             for _ in range(300)]
+    for i in rng.choice(300, size=5, replace=False):
+        texts[i] = None
+    return pd.DataFrame({"text": texts})
+
+
+def test_kernel_matches_reference_on_unicode_fuzz():
+    from pdf_extract_ray.stages.textquality import text_signals
+
+    rng = np.random.default_rng(20261019)
+    for _ in range(30):
+        df = _fuzz_frame(rng)
+        ref = repetition_reference(df.copy(), "text")
+        ref = quality_reference(ref, "text")
+        fast = text_signals(df["text"])
+        assert list(fast) == list(ref.columns[1:])
+        for col, got in fast.items():
+            np.testing.assert_array_equal(got, ref[col].to_numpy(),
+                                          err_msg=col)
+        rep = repetition_stats_batch(df.copy(), "text")
+        qual = quality_score_batch(df.copy(), "text")
+        for col, got in fast.items():
+            src = rep if col in rep else qual
+            np.testing.assert_array_equal(src[col].to_numpy(), got,
+                                          err_msg=col)
+
+
+def test_lowering_once_facts_hold_for_every_codepoint():
+    """The kernel lowercases a whole batch as one string and reads every
+    signal off the lowered codes; that is exact only while str.lower()
+    keeps the whitespace/punctuation/digit classes and changes a length
+    only for U+0130."""
+    from pdf_extract_ray.util import PY_WS
+
+    kept = set(PY_WS) | set(".,!?;:0123456789")
+    longer = []
+    for c in range(0x110000):
+        if 0xD800 <= c < 0xE000:
+            continue
+        ch = chr(c)
+        low = ch.lower()
+        if len(low) != 1:
+            longer.append(c)
+        if ch in kept:
+            assert low == ch, hex(c)
+        else:
+            assert not kept & set(low), hex(c)
+    assert longer == [0x130]
+
+
 @pytest.mark.parametrize("fn_pair", [
     (quality_score_batch, quality_reference),
     (repetition_stats_batch, repetition_reference),

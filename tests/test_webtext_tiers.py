@@ -5,6 +5,7 @@ import glob
 import os
 import shutil
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -13,8 +14,8 @@ import ray.data as rd
 
 from pdf_extract_ray.pipelines.webtext import (
     TIER_RULES,
-    _text_slices,
     tier_batch,
+    tier_columns,
     tier_slices,
     webtext_run,
     webtext_tiers,
@@ -265,38 +266,120 @@ def test_batch_read_tasks_sized_by_input_bytes(ray_session, tmp_path,
         _assert_same_tiers(f"{outs[0]}/part={i}", f"{outs[1]}/part={i}")
 
 
+def _tier_block(n=300, seed=7):
+    from pdf_extract_ray.corpus import pages_table
+
+    docs = pages_table(n, seed=seed).to_pandas()[["url", "text", "lang"]]
+    docs.loc[[3, n - 1], "text"] = ""
+    assert docs["text"].isna().any()
+    return pa.Table.from_pandas(docs, preserve_index=False)
+
+
+def _nb_model(n_buckets=1 << 8):
+    rng = np.random.default_rng(0)
+    return {"labels": ["good", "spam"], "n_buckets": n_buckets,
+            "log_prior": np.log([0.5, 0.5]),
+            "log_cond": rng.normal(size=(n_buckets, 2))}
+
+
 @pytest.mark.parametrize("keep_rejects", [True, False])
 def test_tier_slices_equal_tier_batch_on_the_whole_block(keep_rejects,
                                                          monkeypatch):
-    """The sliced tier map over a block many slices long, with null and
-    empty texts, equals ``tier_batch`` over the whole block."""
-    from ray.data.block import BlockAccessor
+    """The Arrow tier map over a block many slices long, with null and
+    empty texts, equals ``tier_batch`` over the whole block in one
+    slice."""
+    import pdf_extract_ray.stages.textquality as textquality
 
-    import pdf_extract_ray.pipelines.webtext as webtext
-    from pdf_extract_ray.corpus import pages_table
-
-    docs = pages_table(300, seed=7).to_pandas()[["url", "text", "lang"]]
-    docs.loc[[3, 299], "text"] = ""
-    assert docs["text"].isna().any()
-    t = pa.Table.from_pandas(docs, preserve_index=False)
-    monkeypatch.setattr(webtext, "TIER_SLICE_BYTES", 4096)
-    assert len(_text_slices(t, "text", 4096)) > 20
+    t = _tier_block()
     want = tier_batch(t.to_pandas())
     assert {"tier2", "reject_short"} <= set(want["tier"])
     if not keep_rejects:
         want = want[~want["tier"].str.startswith("reject_")]
-    got = tier_slices(t, tier_batch, "text", keep_rejects=keep_rejects)
-    assert got.schema.remove_metadata() == (
-        BlockAccessor.for_block(want).to_arrow().schema.remove_metadata())
+    monkeypatch.setattr(textquality, "TIER_SLICE_BYTES", 4096)
+    assert len(textquality.text_slices(
+        textquality._text_array(t["text"]), 4096)) > 20
+    got = tier_slices(t, tier_columns, "text", keep_rejects=keep_rejects)
     pd.testing.assert_frame_equal(got.to_pandas(),
-                                  want.reset_index(drop=True))
+                                  want.reset_index(drop=True),
+                                  check_exact=True)
+
+
+@pytest.mark.parametrize("keep_rejects", [True, False])
+@pytest.mark.parametrize("nb", [False, True])
+@pytest.mark.parametrize("per_lang", [False, True])
+def test_arrow_tier_map_pins_tier_batch_schema(keep_rejects, nb, per_lang,
+                                               monkeypatch):
+    """The Arrow map gives exactly ``tier_batch``'s (``tier_batch_lang``'s)
+    column names, order, Arrow types and rows — also on a zero-row and an
+    all-null ``text`` block, where the pandas round trip types every
+    all-None column ``null`` and the map keeps the block's types."""
+    import pdf_extract_ray.stages.textquality as textquality
+    from pdf_extract_ray.stages.langquality import (
+        LANG_TIER_RULES,
+        tier_batch_lang,
+        tier_columns_lang,
+    )
+
+    model = _nb_model() if nb else None
+    if per_lang:
+        def fn(text):
+            return tier_columns_lang(text, None, LANG_TIER_RULES, model)
+
+        def batch_fn(df):
+            return tier_batch_lang(df, "text", None, LANG_TIER_RULES, model)
+    else:
+        def fn(text):
+            return tier_columns(text, TIER_RULES, model)
+
+        def batch_fn(df):
+            return tier_batch(df, "text", TIER_RULES, model)
+
+    def expected(t):
+        want = batch_fn(t.to_pandas())
+        if not keep_rejects:
+            want = want[~want["tier"].str.startswith("reject_")]
+        return want.reset_index(drop=True)
+
+    t = _tier_block(120, seed=5)
+    want = expected(t)
+    if keep_rejects:
+        assert ({"reject_short", "tier2"} | ({"reject_lowquality"} if nb
+                                             else set())) <= set(want["tier"])
+    schema = pa.Table.from_pandas(want, preserve_index=False).schema
+    schema = schema.remove_metadata()
+    monkeypatch.setattr(textquality, "TIER_SLICE_BYTES", 2048)
+    got = tier_slices(t, fn, "text", keep_rejects=keep_rejects)
+    assert got.schema == schema
+    pd.testing.assert_frame_equal(got.to_pandas(), want, check_exact=True)
+
+    zero = tier_slices(t.slice(0, 0), fn, "text", keep_rejects=keep_rejects)
+    assert zero.num_rows == 0 and zero.schema == schema
+
+    nulls = t.set_column(1, "text", pa.nulls(len(t), pa.string()))
+    got = tier_slices(nulls, fn, "text", keep_rejects=keep_rejects)
+    assert got.schema == schema
+    want = expected(nulls)
+    assert set(want["tier"]) <= {"reject_short"}
+    pd.testing.assert_frame_equal(got.to_pandas(), want, check_exact=True,
+                                  check_dtype=len(want) > 0)
+
+
+def test_arrow_tier_map_replaces_a_column_in_place():
+    t = _tier_block(40).append_column("tier", pa.array(["old"] * 40))
+    got = tier_slices(t, tier_columns, "text")
+    assert got.column_names.index("tier") == 3
+    assert got.column_names == list(tier_batch(t.to_pandas()).columns)
+    assert "old" not in set(got["tier"].to_pylist())
 
 
 def test_text_slices_bound_bytes_per_slice():
-    t = pa.table({"text": ["ab", None, "abcdef", "", "abc", "a"]})
-    assert _text_slices(t, "text", 4) == [(0, 2), (2, 3), (3, 6)]
-    assert _text_slices(t, "text", 100) == [(0, 6)]
-    assert _text_slices(t.slice(0, 0), "text", 4) == [(0, 0)]
+    from pdf_extract_ray.stages.textquality import _text_array, text_slices
+
+    t = _text_array(pa.array(["ab", None, "abcdef", "", "abc", "a"]))
+    assert text_slices(t, 4) == [(0, 2), (2, 3), (3, 6)]
+    assert text_slices(t, 100) == [(0, 6)]
+    assert text_slices(t.slice(0, 0), 4) == [(0, 0)]
+
 
 
 def test_warc_batch_split_by_lang(ray_session, tmp_path, monkeypatch):

@@ -3,10 +3,13 @@
 testdata parquet, compare row-count + schema + order-insensitive values.
 
 Usage: python tools/selfcheck.py [sf_dir] [query ...]
+
+Exits 1 when a query fails, 2 when a named query is not registered.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
@@ -14,7 +17,9 @@ import duckdb
 import numpy as np
 import pandas as pd
 
-sys.path.insert(0, "/root/repo")
+# the registry of THIS checkout, whatever the working directory
+_REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, _REPO)
 
 TABLES = ("documents", "embeddings")
 
@@ -52,6 +57,14 @@ def main():
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
 
+    import __ray_entry__ as entry
+
+    qs = entry.queries()
+    unknown = sorted(only - set(qs))
+    if unknown:
+        print(f"unknown queries: {' '.join(unknown)}")
+        return 2
+
     import ray
 
     ray.init(address="local", num_cpus=8, include_dashboard=False,
@@ -60,13 +73,10 @@ def main():
 
     ray.data.DataContext.get_current().enable_progress_bars = False
 
-    import __ray_entry__ as entry
-
     con = duckdb.connect()
     for t in TABLES:
         con.sql(f"CREATE VIEW {t} AS SELECT * FROM '{sf_dir}/{t}.parquet'")
 
-    qs = entry.queries()
     oracles = entry.oracle_sql()
     n_pass = n_fail = 0
     for name, fn in qs.items():
