@@ -1852,21 +1852,21 @@ def q_winnow_near_dup(sf_dir: str):
 def q_pdf_extract_docs(sf_dir: str):
     # S1/M1 on the reference's ACTUAL input format: PDF bytes -> spans ->
     # layout tagging -> sentences, via the from-scratch stdlib PDF reader
-    # (sources/pdf.py).  Input PDFs are synthesized deterministically from
-    # the documents table (corpus.pdfs_from_documents); the oracle is the
-    # committed single-process golden.
+    # (sources/pdf.py) as the ``pdf`` source of the fused extraction plan.
+    # Input PDFs are synthesized deterministically from the documents table
+    # (corpus.pdfs_from_documents); the oracle is the committed
+    # single-process golden.  The query keeps the golden's 5 columns.
     import pyarrow.parquet as pq
 
     import ray.data as rd
 
     from pdf_extract_ray.corpus import pdfs_from_documents
-    from pdf_extract_ray.sources.pdf import extract_pdf_pages
+    from pdf_extract_ray.pipelines.extract import extract_pages_fused
 
     docs = pq.read_table(f"{sf_dir}/documents.parquet",
                          columns=["doc_id", "text", "source"])
     ds = rd.from_arrow(pdfs_from_documents(docs)).repartition(8)
-    out = extract_pdf_pages(ds)
-    return out.map_batches(
+    return extract_pages_fused(ds).map_batches(
         lambda b: b.select(["url", "extracted_text", "n_sentences",
                             "n_pages", "status"]),
         batch_format="pyarrow",

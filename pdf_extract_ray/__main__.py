@@ -4,6 +4,7 @@ reference: cli.py:113-361, SURVEY.md §3.1-3.2).
 
     python -m pdf_extract_ray extract  --input 'pages/*.parquet' --out out/ \
         [--plan fused|staged] [--rule-pack default] [--files-per-partition 8]
+        (pages: url plus pdf bytes, html or text; lang, warc_ts optional)
     python -m pdf_extract_ray quality  --input 'pairs/*.parquet' --out out/ \
         [--no-dedup] [--global-dedup]
     python -m pdf_extract_ray status   --out out/
@@ -239,16 +240,18 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(prog="pdf_extract_ray")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def add_common(sp, with_input=True):
+    def add_common(sp, with_input=True, input_help="glob of input parquet shards"):
         if with_input:
-            sp.add_argument("--input", required=True,
-                            help="glob of input parquet shards")
+            sp.add_argument("--input", required=True, help=input_help)
             sp.add_argument("--files-per-partition", type=int, default=8)
             sp.add_argument("--num-cpus", type=int, default=None)
         sp.add_argument("--out", required=True, help="output directory")
 
     def add_extract(sp):
-        add_common(sp)
+        add_common(sp, input_help=(
+            "glob of input parquet page shards: url plus any of pdf (bytes), "
+            "html and text; a row's first source that yields blocks, in that "
+            "order, gives its status pdf|html|fallback, else rejected"))
         sp.add_argument("--plan", default="fused",
                         choices=["fused", "staged"])
         sp.add_argument("--rule-pack", default="default")

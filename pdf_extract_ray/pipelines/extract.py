@@ -56,7 +56,7 @@ EXTRACTED_SCHEMA = pa.schema(
         ("extracted_text", pa.large_string()),
         ("n_sentences", pa.int32()),
         ("n_pages", pa.int32()),
-        ("status", pa.string()),  # html | fallback | rejected
+        ("status", pa.string()),  # pdf | html | fallback | rejected
     ]
 )
 
@@ -77,8 +77,21 @@ SENTENCES_SCHEMA = pa.schema(
 # the single-process oracle used for golden tests)
 # ---------------------------------------------------------------------------
 
-def document_blocks(html, text, cfg: ExtractConfig) -> tuple[list[Block], str]:
-    """Parse a document into blocks; returns (blocks, status)."""
+def document_blocks(html, text, cfg: ExtractConfig, pdf=None) -> tuple[list[Block], str]:
+    """Parse a document into blocks; returns (blocks, status).  Sources in
+    order: the ``pdf`` bytes (per-page spans -> layout tagging), the
+    ``html``, the pre-extracted ``text``; a row none of them yields a
+    block from is rejected."""
+    if pdf:
+        # imported here: HTML-only workers never load the PDF reader
+        from pdf_extract_ray.sources.pdf import pdf_pages_spans
+        from pdf_extract_ray.stages.layout import tag_page_lines
+
+        blocks = [b for p in pdf_pages_spans(pdf)
+                  for b in tag_page_lines(p["lines"], p["width"], p["height"],
+                                          p["page_no"], cfg)]
+        if blocks:
+            return blocks, "pdf"
     blocks = parse_html(html, cfg)
     if blocks:
         return blocks, "html"
@@ -92,10 +105,11 @@ def sentences_from_blocks(blocks: list[Block], cfg: ExtractConfig) -> list[Sente
     return compose_document(merge_blocks(blocks), cfg)
 
 
-def extract_document(url, html, text, lang, cfg: ExtractConfig = DEFAULT_CONFIG) -> dict:
+def extract_document(url, html, text, lang, cfg: ExtractConfig = DEFAULT_CONFIG,
+                     pdf=None) -> dict:
     """The complete frozen per-document extraction. Returns a dict with
     ``sentences`` (list[Sentence]) and the assembled ``extracted_text``."""
-    blocks, status = document_blocks(html, text, cfg)
+    blocks, status = document_blocks(html, text, cfg, pdf)
     sents = sentences_from_blocks(blocks, cfg)
     extracted_text, n_sents, n_pages = assemble_sentences(sents, cfg)
     return {
@@ -114,10 +128,26 @@ def oracle_extract(rows: list[dict], cfg: ExtractConfig = DEFAULT_CONFIG) -> lis
     freeze its output; the Ray plans must match it byte-for-byte."""
     out = []
     for r in rows:
-        d = extract_document(r["url"], r.get("html"), r.get("text"), r.get("lang"), cfg)
+        d = extract_document(r["url"], r.get("html"), r.get("text"), r.get("lang"),
+                             cfg, r.get("pdf"))
         d["warc_ts"] = r.get("warc_ts")
         out.append(d)
     return out
+
+
+# a page batch's per-row inputs besides ``url``: the three sources of
+# ``document_blocks`` and the two carried columns; a batch may lack any
+_PAGE_COLUMNS = {"html": pa.binary(), "pdf": pa.binary(), "text": pa.string(),
+                 "lang": pa.string(), "warc_ts": pa.timestamp("us")}
+
+
+def _page_columns(batch: pa.Table) -> dict:
+    """``url`` and every ``_PAGE_COLUMNS`` column of ``batch``, a null
+    column where the batch has none."""
+    cols = {"url": batch["url"]}
+    for c, t in _PAGE_COLUMNS.items():
+        cols[c] = batch[c] if c in batch.column_names else pa.nulls(batch.num_rows, t)
+    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -125,41 +155,29 @@ def oracle_extract(rows: list[dict], cfg: ExtractConfig = DEFAULT_CONFIG) -> lis
 # ---------------------------------------------------------------------------
 
 class ExtractDocuments:
-    """Actor-pool stage: whole extraction chain per document.
+    """Batch stage: the whole extraction chain per document.
 
-    Stateful-stage pattern (SURVEY.md §2.3 T1): config compiled once per
-    actor in ``__init__``, batches of pages in, batches of extracted rows
-    out.  ``batch_format="pyarrow"`` keeps the fat ``html`` binary column
-    zero-copy until the per-row parse."""
+    Batches of pages in, batches of ``EXTRACTED_SCHEMA`` rows out.
+    ``batch_format="pyarrow"`` keeps the fat ``html``/``pdf`` binary
+    columns zero-copy until the per-row parse.  The plans map the bound
+    ``__call__``, a plain callable that Ray runs as tasks."""
 
     def __init__(self, cfg: ExtractConfig = DEFAULT_CONFIG):
         self.cfg = cfg
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        urls = batch["url"].to_pylist()
-        htmls = batch["html"].to_pylist()
-        texts = batch["text"].to_pylist() if "text" in batch.column_names else [None] * len(urls)
-        langs = batch["lang"].to_pylist() if "lang" in batch.column_names else [None] * len(urls)
-        ts = (
-            batch["warc_ts"]
-            if "warc_ts" in batch.column_names
-            else pa.nulls(len(urls), pa.timestamp("us"))
-        )
-
-        out = {k: [] for k in ("url", "lang", "extracted_text", "n_sentences", "n_pages", "status")}
-        for url, html, text, lang in zip(urls, htmls, texts, langs):
-            d = extract_document(url, html, text, lang, self.cfg)
-            out["url"].append(d["url"])
-            out["lang"].append(d["lang"])
-            out["extracted_text"].append(d["extracted_text"])
-            out["n_sentences"].append(d["n_sentences"])
-            out["n_pages"].append(d["n_pages"])
-            out["status"].append(d["status"])
+        c = _page_columns(batch)
+        out = {k: [] for k in ("extracted_text", "n_sentences", "n_pages", "status")}
+        for url, html, pdf, text, lang in zip(
+                *(c[k].to_pylist() for k in ("url", "html", "pdf", "text", "lang"))):
+            d = extract_document(url, html, text, lang, self.cfg, pdf)
+            for k, v in out.items():
+                v.append(d[k])
         return pa.table(
             {
-                "url": pa.array(out["url"], pa.string()),
-                "warc_ts": ts,
-                "lang": pa.array(out["lang"], pa.string()),
+                "url": c["url"].cast(pa.string()),
+                "warc_ts": c["warc_ts"],
+                "lang": c["lang"].cast(pa.string()),
                 "extracted_text": pa.array(out["extracted_text"], pa.large_string()),
                 "n_sentences": pa.array(out["n_sentences"], pa.int32()),
                 "n_pages": pa.array(out["n_pages"], pa.int32()),
@@ -176,12 +194,11 @@ class ExtractSentences:
         self.cfg = cfg
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        urls = batch["url"].to_pylist()
-        htmls = batch["html"].to_pylist()
-        texts = batch["text"].to_pylist() if "text" in batch.column_names else [None] * len(urls)
+        c = _page_columns(batch)
         cols = {k: [] for k in ("url", "page_no", "frag_id", "sent_no", "text", "source_type")}
-        for url, html, text in zip(urls, htmls, texts):
-            blocks, _status = document_blocks(html, text, self.cfg)
+        for url, html, pdf, text in zip(
+                *(c[k].to_pylist() for k in ("url", "html", "pdf", "text"))):
+            blocks, _status = document_blocks(html, text, self.cfg, pdf)
             for s in sentences_from_blocks(blocks, self.cfg):
                 cols["url"].append(url)
                 cols["page_no"].append(s.page_no)
@@ -201,23 +218,6 @@ class ExtractSentences:
         )
 
 
-
-# per-worker stage cache for stateless-task execution: state (compiled
-# config) builds once per worker PROCESS and is reused across tasks; unlike
-# an actor pool this lets Ray fuse the stage with the read (no object-store
-# round trip) and reuse warm workers across pipeline runs
-_STAGE_CACHE: dict = {}
-
-
-def _cached(cls, cfg):
-    def fn(batch):
-        inst = _STAGE_CACHE.get(cls)
-        if inst is None or inst.cfg is not cfg and inst.cfg != cfg:
-            inst = _STAGE_CACHE[cls] = cls(cfg)
-        return inst(batch)
-    return fn
-
-
 def extract_pages_fused(
     pages: "ray.data.Dataset",
     cfg: ExtractConfig = DEFAULT_CONFIG,
@@ -226,13 +226,13 @@ def extract_pages_fused(
 ) -> "ray.data.Dataset":
     """pages -> extracted, zero shuffles.
 
-    Execution is stateless tasks with a per-worker stage cache (fuses
-    with the read; elastic).  ``batch_size=None`` processes whole blocks
+    Execution is stateless tasks (fuses with the read; elastic).
+    ``batch_size=None`` processes whole blocks
     zero-copy; size the BLOCKS at the read (``override_num_blocks`` ~ 2x
     CPUs, or ``target_max_block_size``) — 10^2+ tiny blocks pay ~0.2 s Ray
     Data per-task overhead each (SURVEY.md §7.4.4)."""
     return pages.map_batches(
-        _cached(ExtractDocuments, cfg), batch_format="pyarrow", batch_size=batch_size
+        ExtractDocuments(cfg).__call__, batch_format="pyarrow", batch_size=batch_size
     )
 
 
@@ -248,20 +248,13 @@ class ParsePagesToBlocks:
         self.cfg = cfg
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        urls = batch["url"].to_pylist()
-        htmls = batch["html"].to_pylist()
-        texts = batch["text"].to_pylist() if "text" in batch.column_names else [None] * len(urls)
-        langs = batch["lang"].to_pylist() if "lang" in batch.column_names else [None] * len(urls)
-        tss = (
-            batch["warc_ts"].to_pylist()
-            if "warc_ts" in batch.column_names
-            else [None] * len(urls)
-        )
+        c = _page_columns(batch)
         cols = {k: [] for k in
                 ("url", "warc_ts", "lang", "status", "page_no", "block_no",
                  "block_ord", "tag", "text")}
-        for url, html, text, lang, ts in zip(urls, htmls, texts, langs, tss):
-            blocks, status = document_blocks(html, text, self.cfg)
+        for url, html, pdf, text, lang, ts in zip(*(
+                c[k].to_pylist() for k in ("url", "html", "pdf", "text", "lang", "warc_ts"))):
+            blocks, status = document_blocks(html, text, self.cfg, pdf)
             if not blocks:
                 # keep one sentinel row so rejected documents still appear
                 blocks = [Block(0, 0, "P", "", False)]
@@ -418,7 +411,7 @@ def extract_pages_staged(
     ``salt`` is accepted and ignored: map-side packing replaced the
     salted two-pass plan, and the keyword no longer changes the plan."""
     blocks = pages.map_batches(
-        _cached(ParsePagesToBlocks, cfg), batch_format="pyarrow",
+        ParsePagesToBlocks(cfg).__call__, batch_format="pyarrow",
         batch_size=batch_size,
     )
     return reassemble_blocks(blocks, lambda t: _assemble_bucket(t, cfg))
@@ -432,7 +425,7 @@ def extract_sentences(
 ) -> "ray.data.Dataset":
     """pages -> per-sentence rows (fused, no shuffle)."""
     return pages.map_batches(
-        _cached(ExtractSentences, cfg), batch_format="pyarrow",
+        ExtractSentences(cfg).__call__, batch_format="pyarrow",
         batch_size=batch_size,
     )
 

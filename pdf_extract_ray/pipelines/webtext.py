@@ -366,9 +366,7 @@ def webtext_run(
         col = text_col
         if do_extract:
             from pdf_extract_ray.pipelines.extract import (
-                DEFAULT_CONFIG,
                 ExtractDocuments,
-                _cached,
                 extract_pages_fused,
             )
 
@@ -379,7 +377,7 @@ def webtext_run(
             if tagged:
                 # the fused extractor emits one row per page row, in
                 # order, in its own schema: carry the tag across it
-                extract = _cached(ExtractDocuments, DEFAULT_CONFIG)
+                extract = ExtractDocuments()
                 ds = ds.map_batches(
                     lambda t: extract(t).append_column("part", t["part"]),
                     batch_format="pyarrow", batch_size=None)

@@ -1283,29 +1283,6 @@ def pdf_pages_spans(data: bytes | None) -> list[dict]:
     return pages
 
 
-def extract_pdf_document(url, pdf_bytes, cfg=None) -> dict:
-    """Full per-document PDF extraction: spans -> layout tagging
-    (tag_page_lines) -> merge -> sentence composition -> assembly — the
-    same frozen chain as extract_document, with the PDF span path standing
-    in for the HTML parse."""
-    from pdf_extract_ray.config import DEFAULT_CONFIG
-    from pdf_extract_ray.pipelines.extract import sentences_from_blocks
-    from pdf_extract_ray.stages.assemble import assemble_sentences
-    from pdf_extract_ray.stages.layout import tag_page_lines
-
-    cfg = cfg or DEFAULT_CONFIG
-    blocks = []
-    pages = pdf_pages_spans(pdf_bytes)
-    for p in pages:
-        blocks.extend(tag_page_lines(p["lines"], p["width"], p["height"],
-                                     p["page_no"], cfg))
-    status = "pdf" if blocks else "rejected"
-    sents = sentences_from_blocks(blocks, cfg)
-    text, n_sents, n_pages = assemble_sentences(sents, cfg)
-    return {"url": url, "status": status, "extracted_text": text,
-            "sentences": sents, "n_sentences": n_sents, "n_pages": n_pages}
-
-
 def build_simple_pdf(page_contents: list[str], compress: bool = False) -> bytes:
     """Minimal single-font-pair PDF writer (testing/corpus synthesis): one
     object per page content stream (plain or Flate), fonts /F1 Helvetica
@@ -1487,95 +1464,3 @@ def document_to_pdf(title: str, text: str, *, compress: bool = False,
             for j, l in enumerate(chunk))
         pages.append(" ".join(parts))
     return build_simple_pdf(pages or [""], compress=compress)
-
-
-def extract_pdf_pages(ds, pdf_col: str = "pdf", url_col: str = "url", cfg=None):
-    """Fused Ray plan over rows with a PDF binary column: one map_batches,
-    zero shuffles (mirrors extract_pages_fused)."""
-    import pyarrow as pa
-
-    from pdf_extract_ray.config import DEFAULT_CONFIG
-
-    cfg = cfg or DEFAULT_CONFIG
-
-    def run(batch: pa.Table) -> pa.Table:
-        urls = batch[url_col].to_pylist()
-        pdfs = batch[pdf_col].to_pylist()
-        cols = {k: [] for k in ("url", "extracted_text", "n_sentences",
-                                "n_pages", "status")}
-        for url, data in zip(urls, pdfs):
-            d = extract_pdf_document(url, data, cfg)
-            cols["url"].append(url)
-            cols["extracted_text"].append(d["extracted_text"])
-            cols["n_sentences"].append(d["n_sentences"])
-            cols["n_pages"].append(d["n_pages"])
-            cols["status"].append(d["status"])
-        return pa.table({
-            "url": pa.array(cols["url"], pa.string()),
-            "extracted_text": pa.array(cols["extracted_text"], pa.large_string()),
-            "n_sentences": pa.array(cols["n_sentences"], pa.int32()),
-            "n_pages": pa.array(cols["n_pages"], pa.int32()),
-            "status": pa.array(cols["status"], pa.string()),
-        })
-
-    return ds.map_batches(run, batch_format="pyarrow")
-
-
-def extract_pdf_pages_staged(ds, pdf_col: str = "pdf", url_col: str = "url",
-                             cfg=None):
-    """Staged PDF plan: explode each PDF into per-page BLOCK rows, then
-    reuse the HTML staged plan's per-url bucketed assembly — the S2
-    "splitter" analogue for huge PDFs (a 1000-page file's layout tagging
-    parallelizes per input row, and the block rows flow through the same
-    order-keyed shuffle as multi-row HTML documents, packed per url in
-    the map task).  Byte-identical to ``extract_pdf_pages`` (tested)."""
-    import pyarrow as pa
-
-    from pdf_extract_ray.config import DEFAULT_CONFIG
-    from pdf_extract_ray.stages.layout import tag_page_lines
-
-    cfg = cfg or DEFAULT_CONFIG
-
-    def explode(batch: pa.Table) -> pa.Table:
-        cols = {k: [] for k in ("url", "warc_ts", "lang", "status", "page_no",
-                                "block_no", "block_ord", "tag", "text")}
-        for url, data in zip(batch[url_col].to_pylist(),
-                             batch[pdf_col].to_pylist()):
-            blocks = []
-            for p in pdf_pages_spans(data):
-                blocks.extend(tag_page_lines(
-                    p["lines"], p["width"], p["height"], p["page_no"], cfg))
-            status = "pdf" if blocks else "rejected"
-            if not blocks:
-                from pdf_extract_ray.stages.html_parser import Block
-                blocks = [Block(0, 0, "P", "", False)]
-            for ord_, b in enumerate(blocks):
-                cols["url"].append(url)
-                cols["warc_ts"].append(0)
-                cols["lang"].append("")
-                cols["status"].append(status)
-                cols["page_no"].append(b.page_no)
-                cols["block_no"].append(b.block_no)
-                cols["block_ord"].append(ord_)
-                cols["tag"].append(b.tag)
-                cols["text"].append(b.text)
-        return pa.table({
-            "url": pa.array(cols["url"], pa.string()),
-            "warc_ts": pa.array(cols["warc_ts"], pa.timestamp("us")),
-            "lang": pa.array(cols["lang"], pa.string()),
-            "status": pa.array(cols["status"], pa.string()),
-            "page_no": pa.array(cols["page_no"], pa.int32()),
-            "block_no": pa.array(cols["block_no"], pa.int32()),
-            "block_ord": pa.array(cols["block_ord"], pa.int32()),
-            "tag": pa.array(cols["tag"], pa.string()),
-            "text": pa.array(cols["text"], pa.large_string()),
-        })
-
-    from pdf_extract_ray.pipelines.extract import _assemble_bucket, reassemble_blocks
-
-    def assemble(bucket: pa.Table) -> pa.Table:
-        return _assemble_bucket(bucket, cfg).select(
-            ["url", "extracted_text", "n_sentences", "n_pages", "status"])
-
-    return reassemble_blocks(ds.map_batches(explode, batch_format="pyarrow"),
-                             assemble)

@@ -1,107 +1,18 @@
-"""Mergeable sketches for approximate aggregates at crawl scale.
+"""Mergeable sketches for approximate aggregates at crawl scale: the
+count-min sketch (frequencies) and the Bloom filter (membership).
 
-HyperLogLog here follows the guide's sketch pattern: one serialized sketch
-per batch emitted from ``map_batches`` (map-side), merged in a tiny final
-stage — distinct-count over 10^12 rows moves only ``2^p``-byte registers
-through the shuffle, never values.  Deterministic (single stable hash
-family — pandas' keyed siphash — for every input type).
+Both follow one pattern: one serialized sketch per batch emitted from
+``map_batches`` (map-side), merged in a tiny final stage, so only the
+fixed-size counters or bits move, never the values.  Deterministic (one
+stable hash family, pandas' keyed siphash, for every input type).
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 import pandas as pd
 
 from ray.data import Dataset
-
-
-class HyperLogLog:
-    """Classic HLL with the standard bias corrections; p in [4, 16]."""
-
-    def __init__(self, p: int = 12):
-        self.p = p
-        self.m = 1 << p
-        self.registers = np.zeros(self.m, dtype=np.uint8)
-
-    def add_hashes(self, hashes: np.ndarray) -> None:
-        idx = (hashes >> np.uint64(64 - self.p)).astype(np.int64)
-        rest = hashes << np.uint64(self.p)
-        # rank = leading zeros of the remaining 64-p bits + 1
-        ranks = np.zeros(len(hashes), dtype=np.uint8)
-        mask = np.uint64(1) << np.uint64(63)
-        rest_work = rest.copy()
-        rank = 1
-        pending = np.ones(len(hashes), dtype=bool)
-        while pending.any() and rank <= 64 - self.p + 1:
-            is_set = (rest_work & mask) != 0
-            newly = pending & is_set
-            ranks[newly] = rank
-            pending &= ~is_set
-            rest_work = rest_work << np.uint64(1)
-            rank += 1
-        ranks[pending] = 64 - self.p + 1
-        np.maximum.at(self.registers, idx, ranks)
-
-    def add(self, values) -> None:
-        """ONE hash family for every input type (deterministic
-        hash_pandas_object, the same family stages/agg uses): generic
-        iterables are wrapped into a Series first.  Two sketches built
-        from different container types of the same values merge
-        correctly — a second family would make ``merge()`` silently
-        meaningless.  Numeric dtypes are widened to 64-bit so int32 and
-        int64 representations of the same value hash identically."""
-        s = values if isinstance(values, pd.Series) else pd.Series(list(values))
-        if pd.api.types.is_integer_dtype(s):
-            s = s.astype("int64")
-        elif pd.api.types.is_float_dtype(s):
-            s = s.astype("float64")
-        hs = pd.util.hash_pandas_object(s, index=False).to_numpy().astype(np.uint64)
-        if len(hs):
-            self.add_hashes(hs)
-
-    def merge(self, other: "HyperLogLog") -> "HyperLogLog":
-        assert self.p == other.p
-        out = HyperLogLog(self.p)
-        out.registers = np.maximum(self.registers, other.registers)
-        return out
-
-    def estimate(self) -> float:
-        m = float(self.m)
-        alpha = 0.7213 / (1 + 1.079 / m)
-        inv = np.power(2.0, -self.registers.astype(np.float64))
-        e = alpha * m * m / inv.sum()
-        if e <= 2.5 * m:
-            zeros = int((self.registers == 0).sum())
-            if zeros:
-                e = m * math.log(m / zeros)
-        return e
-
-    def to_bytes(self) -> bytes:
-        return self.registers.tobytes()
-
-    @classmethod
-    def from_bytes(cls, b: bytes, p: int) -> "HyperLogLog":
-        h = cls(p)
-        h.registers = np.frombuffer(b, dtype=np.uint8).copy()
-        return h
-
-
-def approx_distinct(ds: Dataset, col: str, *, p: int = 12) -> float:
-    """Approximate COUNT(DISTINCT col): per-batch sketches (map-side),
-    merged on the driver — only 2^p bytes per batch ever move."""
-
-    def sketch_batch(b: pd.DataFrame) -> pd.DataFrame:
-        h = HyperLogLog(p)
-        h.add(b[col].dropna())
-        return pd.DataFrame({"sketch": [h.to_bytes()]})
-
-    parts = ds.map_batches(sketch_batch, batch_format="pandas").take_all()
-    acc = HyperLogLog(p)
-    for r in parts:
-        acc = acc.merge(HyperLogLog.from_bytes(r["sketch"], p))
-    return acc.estimate()
 
 
 # --- count-min sketch (Cormode & Muthukrishnan 2005, public paper) ---
@@ -174,7 +85,7 @@ def cms_sketch(ds: Dataset, col: str, *, depth: int = CMS_DEPTH,
 # frontier's "url seen before?" primitive and the cheap pre-filter in
 # front of exact dedup at 100 TB.  Merge is bitwise OR — associative,
 # commutative, idempotent — so the distributed per-batch-partial build is
-# bit-identical on any topology (same contract as HLL/CMS above).
+# bit-identical on any topology (same contract as the CMS above).
 # ---------------------------------------------------------------------------
 
 BLOOM_BITS = 1 << 20   # 128 KiB filter; ~1e5 keys -> <1% FP at k=7
@@ -237,62 +148,3 @@ def bloom_sketch(ds: Dataset, col: str, *, bits: int = BLOOM_BITS,
     for r in parts:
         acc |= np.frombuffer(r["sketch"], dtype=np.uint64)
     return acc
-
-
-def grouped_approx_distinct(
-    ds: "Dataset",
-    keys,
-    col: str,
-    *,
-    p: int = 12,
-    num_buckets: int | None = None,
-) -> "Dataset":
-    """Approximate ``COUNT(DISTINCT col)`` PER GROUP — the crawl-scale
-    "distinct visitors per host" / "unique urls per snapshot" rollup
-    where the exact distinct would ship every value through the
-    shuffle.  Per-batch per-group HLL register sketches move instead
-    (``2^p`` bytes per (batch, group) pair); ONE bucketed max-merge
-    produces the estimates.
-
-    Register max-merge is associative and commutative and the hash is
-    deterministic, so the distributed result equals a single-process
-    sketch of the same column EXACTLY at any parallelism; accuracy vs
-    the exact count is a pytest property (~1.6% typical error at
-    p=12).
-
-    Output: ``(*keys, approx_distinct: float64)``."""
-    from pdf_extract_ray.stages.agg import bucketed_group_apply
-
-    keys = list(keys)
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        rows = {k: [] for k in keys}
-        sk = []
-        for kv, g in b.groupby(keys, sort=False, dropna=False):
-            kv = kv if isinstance(kv, tuple) else (kv,)
-            h = HyperLogLog(p)
-            h.add(g[col].dropna())
-            for k, v in zip(keys, kv):
-                rows[k].append(v)
-            sk.append(h.to_bytes())
-        rows["__sk"] = sk
-        return pd.DataFrame(rows)
-
-    def merge(bucket: pd.DataFrame) -> pd.DataFrame:
-        outs = {k: [] for k in keys}
-        est = []
-        for kv, g in bucket.groupby(keys, sort=False, dropna=False):
-            kv = kv if isinstance(kv, tuple) else (kv,)
-            regs = np.frombuffer(
-                b"".join(g["__sk"]), dtype=np.uint8).reshape(len(g), -1)
-            acc = HyperLogLog(p)
-            acc.registers = regs.max(axis=0)
-            for k, v in zip(keys, kv):
-                outs[k].append(v)
-            est.append(acc.estimate())
-        outs["approx_distinct"] = pd.Series(est, dtype="float64")
-        return pd.DataFrame(outs)
-
-    return bucketed_group_apply(
-        ds.map_batches(partial, batch_format="pandas"), keys, merge,
-        num_buckets=num_buckets)

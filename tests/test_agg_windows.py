@@ -50,27 +50,6 @@ def test_bucket_count_does_not_change_result(skewed):
     pd.testing.assert_frame_equal(a, b)
 
 
-def test_hll_accuracy_and_merge(ray_session):
-    import ray.data as rd
-
-    from pdf_extract_ray.stages.sketch import HyperLogLog, approx_distinct
-
-    # direct accuracy: p=12 -> ~1.6% std error
-    h = HyperLogLog(12)
-    h.add(range(50_000))
-    assert abs(h.estimate() - 50_000) / 50_000 < 0.05
-    # merge == union
-    a, b = HyperLogLog(12), HyperLogLog(12)
-    a.add(range(0, 30_000))
-    b.add(range(20_000, 50_000))
-    assert abs(a.merge(b).estimate() - 50_000) / 50_000 < 0.05
-    # distributed path vs exact
-    df = pd.DataFrame({"u": np.random.RandomState(2).randint(0, 7000, 40_000)})
-    exact = df["u"].nunique()
-    est = approx_distinct(rd.from_pandas(df).repartition(8), "u", p=12)
-    assert abs(est - exact) / exact < 0.05
-
-
 def test_adjacent_pairs_equals_self_join(ray_session):
     """The ghost-row range-bucket pairing must produce exactly the inner
     self-join on order+1 — including across block and partition
@@ -93,25 +72,6 @@ def test_adjacent_pairs_equals_self_join(ray_session):
         got_set = {(r["doc_id"], r["a"], r["b"]) for r in got}
         assert len(got) == len(got_set), f"duplicate pairs at block={block}"
         assert got_set == expect, f"mismatch at block={block}"
-
-
-def test_hll_one_hash_family_across_input_types():
-    """Sketches built from a Series, an ndarray and a plain list of the
-    same values must be register-identical — merge() of sketches from
-    different hash families would silently produce garbage."""
-    from pdf_extract_ray.stages.sketch import HyperLogLog
-
-    vals = list(range(1000))
-    hs, ha, hl = HyperLogLog(10), HyperLogLog(10), HyperLogLog(10)
-    hs.add(pd.Series(vals))
-    ha.add(np.array(vals))
-    hl.add(vals)  # generic iterable path
-    assert (hs.registers == ha.registers).all()
-    assert (hs.registers == hl.registers).all()
-    # int32 vs int64 containers of the same values also agree
-    h32 = HyperLogLog(10)
-    h32.add(np.array(vals, dtype=np.int32))
-    assert (hs.registers == h32.registers).all()
 
 
 def test_parse_stats(ray_session):

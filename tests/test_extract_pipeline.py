@@ -267,7 +267,7 @@ def test_staged_hot_url_reaches_reducer_packed_per_input_block(ray_session):
                              hot_rows["text"])).as_py() or 0]})
 
     blocks = rd.from_arrow(corpus).repartition(6).map_batches(
-        extract._cached(extract.ParsePagesToBlocks, extract.DEFAULT_CONFIG),
+        extract.ParsePagesToBlocks().__call__,
         batch_format="pyarrow")
     seen = extract.bucketed_group_apply(
         blocks.map_batches(extract.compact_blocks, batch_format="pyarrow"),

@@ -7,10 +7,13 @@ import zlib
 
 import pytest
 
-from pdf_extract_ray.sources.pdf import (
-    extract_pdf_document,
-    pdf_pages_spans,
-)
+from pdf_extract_ray.pipelines.extract import extract_document
+from pdf_extract_ray.sources.pdf import pdf_pages_spans
+
+
+def extract_pdf(data):
+    """The document chain over a row whose only source is ``pdf``."""
+    return extract_document("u", None, None, None, pdf=data)
 
 
 def make_pdf(pages, compress=False):
@@ -130,7 +133,7 @@ class TestSpans:
         content = ("BT /F1 8 Tf 72 780 Td (running header) Tj ET "
                    "BT /F1 12 Tf 72 400 Td (body keeps.) Tj ET "
                    "BT /F1 8 Tf 72 10 Td (page 3 of 9) Tj ET")
-        d = extract_pdf_document("u", make_pdf([content]))
+        d = extract_pdf(make_pdf([content]))
         assert d["extracted_text"] == "body keeps."
 
 
@@ -188,20 +191,20 @@ class TestType0Fonts:
         assert pages[0]["lines"] == []
 
     def test_korean_document_chain(self):
-        d = extract_pdf_document("u", make_type0_pdf())
+        d = extract_pdf(make_type0_pdf())
         assert "한국" in d["extracted_text"]
 
 
 class TestDocumentChain:
     def test_full_chain_title_and_sentences(self):
-        d = extract_pdf_document("u", make_pdf([SIMPLE]))
+        d = extract_pdf(make_pdf([SIMPLE]))
         assert d["status"] == "pdf"
         assert d["extracted_text"].splitlines()[0] == "Document Title"
         assert "First body sentence." in d["extracted_text"]
         assert d["n_pages"] == 1
 
     def test_rejected_on_unparseable(self):
-        d = extract_pdf_document("u", b"junk")
+        d = extract_pdf(b"junk")
         assert d["status"] == "rejected" and d["extracted_text"] == ""
 
     def test_documents_corpus_round_trip_preserves_words(self):
@@ -220,28 +223,84 @@ class TestDocumentChain:
         })
         tbl = pdfs_from_documents(docs)
         for i in range(2):
-            d = extract_pdf_document("u", tbl.column("pdf")[i].as_py())
+            d = extract_pdf(tbl.column("pdf")[i].as_py())
             body_words = docs.column("text")[i].as_py().split()
             got_words = " ".join(d["extracted_text"].split("\n")[1:]).split()
             assert got_words == body_words
             assert d["extracted_text"].startswith(f"Document {i} (s{i})")
 
     def test_ray_pipeline(self, ray_session):
-        import pandas as pd
-
+        """The fused plan serves HTML, text-only and PDF rows alike: one
+        row per url, byte-identical to ``oracle_extract``, in
+        ``EXTRACTED_SCHEMA``; the sentence plan serves the same rows."""
         import ray.data as rd
 
-        from pdf_extract_ray.sources.pdf import extract_pdf_pages
+        from pdf_extract_ray.pipelines.extract import (
+            EXTRACTED_SCHEMA, SENTENCES_SCHEMA, extract_pages_fused,
+            extract_sentences, oracle_extract)
 
-        rows = pd.DataFrame({
-            "url": [f"u{i}" for i in range(6)],
-            "pdf": [make_pdf([SIMPLE], compress=i % 2 == 0) for i in range(6)],
-        })
-        out = extract_pdf_pages(rd.from_pandas(rows).repartition(3)).take_all()
-        assert len(out) == 6
-        assert all(r["status"] == "pdf" for r in out)
-        texts = {r["extracted_text"] for r in out}
-        assert len(texts) == 1  # identical inputs -> identical outputs
+        tbl = mixed_pages()
+        ds = extract_pages_fused(rd.from_arrow(tbl).repartition(3)).materialize()
+        assert ds.schema().base_schema == EXTRACTED_SCHEMA
+        oracle = oracle_extract(tbl.to_pylist())
+        got = _by_url(ds.take_all())
+        assert got == _by_url(oracle)
+        assert {u: got[u][-1] for u in MIXED_STATUS} == MIXED_STATUS
+
+        sents = extract_sentences(rd.from_arrow(tbl).repartition(3)).materialize()
+        assert sents.schema().base_schema == SENTENCES_SCHEMA
+        got = sorted((r["url"], r["page_no"], r["frag_id"], r["sent_no"], r["text"])
+                     for r in sents.take_all())
+        assert got == sorted((d["url"], s.page_no, s.frag_id, s.sent_no, s.text)
+                             for d in oracle for s in d["sentences"])
+
+
+# a mixed page table: HTML rows (pages_table), text-only rows and PDF rows
+# (plain, Flate, Type0 with a ToUnicode map, junk bytes), plus rows holding
+# two sources; ``MIXED_STATUS`` is the status each non-HTML row must get
+MIXED_STATUS = {
+    "pdf://plain": "pdf", "pdf://flate": "pdf", "pdf://type0": "pdf",
+    "pdf://junk": "rejected", "text://only": "fallback",
+    "text://empty": "rejected", "both://junk-pdf": "html",
+    "both://valid-pdf": "pdf",
+}
+
+
+def mixed_pages():
+    from datetime import datetime, timedelta
+
+    import pyarrow as pa
+
+    from pdf_extract_ray.corpus import pages_table
+
+    html_doc = ("<html><body><h1>Html Title</h1>"
+                "<p>Html body sentence.</p></body></html>").encode()
+    extra = {
+        "pdf://plain": {"pdf": make_pdf([SIMPLE, SIMPLE])},
+        "pdf://flate": {"pdf": make_pdf([SIMPLE], compress=True)},
+        "pdf://type0": {"pdf": make_type0_pdf(), "lang": "ko"},
+        "pdf://junk": {"pdf": b"not a pdf"},
+        "text://only": {"text": "a text-only row.\nwith two lines."},
+        "text://empty": {"text": ""},
+        "both://junk-pdf": {"pdf": b"junk", "html": html_doc},
+        "both://valid-pdf": {"pdf": make_pdf([SIMPLE]), "html": html_doc},
+    }
+    rows = pages_table(12, seed=5).to_pylist()
+    for i, (url, cols) in enumerate(extra.items()):
+        rows.append({"url": url, "warc_ts": datetime(2024, 5, 1)
+                     + timedelta(seconds=i), **cols})
+    schema = pa.schema([("url", pa.string()), ("warc_ts", pa.timestamp("us")),
+                        ("html", pa.binary()), ("text", pa.large_string()),
+                        ("lang", pa.string()), ("pdf", pa.binary())])
+    return pa.Table.from_pylist(rows, schema)
+
+
+def _by_url(rows):
+    keys = ("warc_ts", "lang", "extracted_text", "n_sentences", "n_pages",
+            "status")
+    out = {r["url"]: tuple(r[k] for k in keys) for r in rows}
+    assert len(out) == len(rows)
+    return out
 
 
 def test_page_order_follows_kids_tree_not_object_numbers():
@@ -272,30 +331,78 @@ def test_page_order_follows_kids_tree_not_object_numbers():
 
 
 def test_pdf_staged_plan_byte_identical(ray_session):
-    """extract_pdf_pages_staged (per-page explode, map-side packing,
-    per-url shuffle) must match the fused PDF plan byte-for-byte —
-    including rejected documents."""
-    import pandas as pd
-
+    """The staged plan (per-page explode, map-side packing, per-url
+    shuffle) matches the fused plan and ``oracle_extract`` byte for byte
+    on the mixed HTML/text/PDF table, rejected rows included, with the
+    same schema."""
     import ray.data as rd
 
-    from pdf_extract_ray.sources.pdf import (
-        extract_pdf_pages, extract_pdf_pages_staged)
+    from pdf_extract_ray.pipelines.extract import (
+        EXTRACTED_SCHEMA, extract_pages_fused, extract_pages_staged,
+        oracle_extract)
 
-    rows = pd.DataFrame({
-        "url": [f"u{i}" for i in range(8)],
-        "pdf": [make_pdf([SIMPLE], compress=i % 2 == 0) for i in range(6)]
-               + [make_type0_pdf(), b"not a pdf"],
-    })
-    ds = lambda: rd.from_pandas(rows).repartition(3)
-    fused = {r["url"]: (r["extracted_text"], r["n_sentences"], r["n_pages"],
-                        r["status"])
-             for r in extract_pdf_pages(ds()).take_all()}
-    staged = {r["url"]: (r["extracted_text"], r["n_sentences"], r["n_pages"],
-                         r["status"])
-              for r in extract_pdf_pages_staged(ds()).take_all()}
-    assert staged == fused
-    assert fused["u7"][3] == "rejected"
+    tbl = mixed_pages()
+    plans = [plan(rd.from_arrow(tbl).repartition(3)).materialize()
+             for plan in (extract_pages_fused, extract_pages_staged)]
+    assert [ds.schema().base_schema for ds in plans] == [EXTRACTED_SCHEMA] * 2
+    fused, staged = (_by_url(ds.take_all()) for ds in plans)
+    assert staged == fused == _by_url(oracle_extract(tbl.to_pylist()))
+
+
+@pytest.mark.parametrize("plan", ["fused", "staged"])
+def test_cli_extract_reads_pdf_parquet_and_resumes(tmp_path, plan):
+    """``extract --input`` over parquet with a ``pdf`` column and no
+    ``html`` column, through the CLI in a 1-CPU subprocess: the output is
+    ``EXTRACTED_SCHEMA`` with the texts of ``oracle_extract``, and a
+    second run skips the committed partitions."""
+    import glob
+    import json
+    import os
+    import subprocess
+    import sys
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from pdf_extract_ray.corpus import pdfs_from_documents
+    from pdf_extract_ray.pipelines.extract import EXTRACTED_SCHEMA, oracle_extract
+
+    docs = pa.table({"doc_id": pa.array(range(6), pa.int64()),
+                     "text": [f"body {i} of the document. " * (i * 30 + 1)
+                              for i in range(6)],
+                     "source": ["s"] * 6})
+    pdfs = pdfs_from_documents(docs).drop(["doc_id"])
+    pdfs = pa.concat_tables([pdfs, pa.table(
+        {"url": ["pdf://junk"], "pdf": pa.array([b"junk"], pa.binary())})])
+    (tmp_path / "in").mkdir()
+    for i in range(2):
+        pq.write_table(pdfs.slice(4 * i, 4), tmp_path / "in" / f"p{i}.parquet")
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    cmd = [sys.executable, "-m", "pdf_extract_ray", "extract",
+           "--input", str(tmp_path / "in" / "*.parquet"),
+           "--out", str(tmp_path / "out"), "--num-cpus", "1",
+           "--files-per-partition", "1", "--plan", plan]
+
+    def run():
+        proc = subprocess.run(cmd, cwd=tmp_path, capture_output=True, text=True,
+                              timeout=300, env={**os.environ, "PYTHONPATH": repo})
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        return json.loads(proc.stdout.strip().splitlines()[-1])["run"]
+
+    assert run()["completed"] == 2
+    files = sorted(glob.glob(str(tmp_path / "out" / "part=*" / "*.parquet")))
+    out = pa.concat_tables([pq.read_table(f) for f in files])
+    assert out.schema.equals(EXTRACTED_SCHEMA)
+    expect = {d["url"]: (d["extracted_text"], d["status"])
+              for d in oracle_extract(pdfs.to_pylist())}
+    assert {r["url"]: (r["extracted_text"], r["status"])
+            for r in out.to_pylist()} == expect
+    assert expect["pdf://junk"][1] == "rejected"
+    assert {s for _, s in expect.values()} == {"pdf", "rejected"}
+
+    again = run()
+    assert (again["completed"], again["skipped"]) == (0, 2)
 
 
 def test_nested_parens_and_malformed_mediabox():

@@ -1,5 +1,5 @@
-"""Mergeable sketches (stages/sketch.py: count-min, Bloom, grouped
-HyperLogLog) and the corpus-statistics fits (token coverage, Zipf,
+"""Mergeable sketches (stages/sketch.py: count-min, Bloom) and the
+corpus-statistics fits (token coverage, Zipf,
 Heaps): exact agreement between the distributed plans and their
 single-process or SQL references."""
 
@@ -95,42 +95,6 @@ def test_bloom_empty_and_null_values(ray_session):
         pd.DataFrame({"u": [None, "a", None]})), "u")
     assert bloom_contains(w, pd.Series(["a"]))[0]
     assert not bloom_contains(w, pd.Series(["b"]))[0]
-
-
-def test_grouped_approx_distinct_accuracy_and_determinism(ray_session):
-    import ray.data as rd
-
-    from pdf_extract_ray.stages.sketch import (
-        HyperLogLog,
-        grouped_approx_distinct,
-    )
-
-    rng = np.random.default_rng(19)
-    df = pd.DataFrame({
-        "g": rng.choice(["a", "b", "c"], 6000),
-        "v": rng.integers(0, 800, 6000).astype("int64"),
-    })
-    # group c is tiny-cardinality (exercises linear counting)
-    df.loc[df["g"] == "c", "v"] = df.loc[df["g"] == "c", "v"] % 7
-    outs = []
-    for parts in (2, 9):
-        out = (grouped_approx_distinct(
-            rd.from_pandas(df).repartition(parts), ["g"], "v")
-            .to_pandas().sort_values("g").reset_index(drop=True))
-        outs.append(out)
-    # exact same result at any parallelism (register max-merge is
-    # associative + deterministic)
-    pd.testing.assert_frame_equal(outs[0], outs[1])
-    # and equal to the single-process sketch of the same column
-    for _, row in outs[0].iterrows():
-        h = HyperLogLog(12)
-        h.add(df.loc[df["g"] == row["g"], "v"])
-        assert row["approx_distinct"] == h.estimate()
-    # accuracy vs the exact distinct count (p=12 -> ~1.6% typical)
-    exact = df.groupby("g")["v"].nunique()
-    for _, row in outs[0].iterrows():
-        assert abs(row["approx_distinct"] - exact[row["g"]]) \
-            <= max(0.05 * exact[row["g"]], 1.0)
 
 
 def test_token_coverage_sql_parity_and_total(ray_session):

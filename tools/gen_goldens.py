@@ -532,29 +532,20 @@ def gen_embedding_lsh(sf_dir: str) -> dict[str, pa.Table]:
 
 def gen_pdf_extract(sf_dir: str) -> dict[str, pa.Table]:
     """Single-process mirror of the PDF query: synthesize the same PDFs
-    and run extract_pdf_document in a plain loop."""
+    and run oracle_extract (a plain loop) over them."""
     from pdf_extract_ray.corpus import pdfs_from_documents
-    from pdf_extract_ray.sources.pdf import extract_pdf_document
+    from pdf_extract_ray.pipelines.extract import oracle_extract
 
     docs = pq.read_table(f"{sf_dir}/documents.parquet",
                          columns=["doc_id", "text", "source"])
-    tbl = pdfs_from_documents(docs)
-    cols = {k: [] for k in ("url", "extracted_text", "n_sentences",
-                            "n_pages", "status")}
-    for url, data in zip(tbl.column("url").to_pylist(),
-                         tbl.column("pdf").to_pylist()):
-        d = extract_pdf_document(url, data)
-        cols["url"].append(url)
-        cols["extracted_text"].append(d["extracted_text"])
-        cols["n_sentences"].append(d["n_sentences"])
-        cols["n_pages"].append(d["n_pages"])
-        cols["status"].append(d["status"])
+    out = oracle_extract(pdfs_from_documents(docs).to_pylist())
     return {"pdf_extract_docs": pa.table({
-        "url": pa.array(cols["url"], pa.string()),
-        "extracted_text": pa.array(cols["extracted_text"], pa.large_string()),
-        "n_sentences": pa.array(cols["n_sentences"], pa.int32()),
-        "n_pages": pa.array(cols["n_pages"], pa.int32()),
-        "status": pa.array(cols["status"], pa.string()),
+        "url": pa.array([d["url"] for d in out], pa.string()),
+        "extracted_text": pa.array([d["extracted_text"] for d in out],
+                                   pa.large_string()),
+        "n_sentences": pa.array([d["n_sentences"] for d in out], pa.int32()),
+        "n_pages": pa.array([d["n_pages"] for d in out], pa.int32()),
+        "status": pa.array([d["status"] for d in out], pa.string()),
     })}
 
 
