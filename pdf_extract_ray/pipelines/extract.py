@@ -14,15 +14,16 @@ output at any parallelism level:
   (``flat_map``-style batch fn) and, in the same map task, packs each
   url's rows of the block into one row of list columns
   (``compact_blocks``); one sort-based shuffle on url
-  (``bucketed_group_apply``) then reassembles documents.  This is the
-  plan for inputs where a document's pages arrive as separate rows (the
-  general crawl case) and is the pipeline's one wide shuffle.  Host-level
+  (``bucketed_group_apply``) then reassembles documents, one call per
+  sorted block.  This is the plan for inputs where a document's pages
+  arrive as separate rows (the general crawl case) and is the pipeline's
+  one wide shuffle.  Host-level
   input skew is decoupled by the hash shuffle itself, and a hot url
   (redirect storm, mirror farm) reaches its reducer as at most one packed
   row per input block, never as every raw block row (SURVEY.md §4.2).
-  This replaced a salted two-shuffle plan: on perfbench
-  ``staged_multirow_skew`` (seed 3, traced, 1 Ray CPU) ``staged_s`` went
-  from 0.80 / 0.92 s to 0.59 / 0.59 s.
+  On perfbench ``staged_multirow_skew`` (seed 3, traced, 1 Ray CPU, host
+  nproc 1, median of six runs) ``staged_s`` is 0.46 s; it was 0.53 s
+  with one reassembly call per bucket.
   ORDER CONTRACT for multi-row documents: rows of one url are ordered by
   ``warc_ts`` (then DOM order within the row), so multi-row urls must
   carry distinct warc_ts values.
@@ -147,6 +148,10 @@ def _page_columns(batch: pa.Table) -> dict:
     cols = {"url": batch["url"]}
     for c, t in _PAGE_COLUMNS.items():
         cols[c] = batch[c] if c in batch.column_names else pa.nulls(batch.num_rows, t)
+    # one warc_ts rule for every plan: Arrow's safe cast passes whole-µs
+    # values of any unit and raises ArrowInvalid on a sub-µs value rather
+    # than truncating it
+    cols["warc_ts"] = cols["warc_ts"].cast(pa.timestamp("us"))
     return cols
 
 
@@ -242,46 +247,42 @@ def extract_pages_fused(
 
 class ParsePagesToBlocks:
     """pages -> per-block rows (explode).  Carries warc_ts/lang through so
-    the downstream group has everything it needs."""
+    the downstream group has everything it needs.
+
+    Only the per-block columns are built in Python; ``url``, ``warc_ts``,
+    ``lang`` and the per-row ``status`` are taken in Arrow by each block
+    row's source-row index."""
 
     def __init__(self, cfg: ExtractConfig = DEFAULT_CONFIG):
         self.cfg = cfg
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         c = _page_columns(batch)
-        cols = {k: [] for k in
-                ("url", "warc_ts", "lang", "status", "page_no", "block_no",
-                 "block_ord", "tag", "text")}
-        for url, html, pdf, text, lang, ts in zip(*(
-                c[k].to_pylist() for k in ("url", "html", "pdf", "text", "lang", "warc_ts"))):
-            blocks, status = document_blocks(html, text, self.cfg, pdf)
-            if not blocks:
-                # keep one sentinel row so rejected documents still appear
-                blocks = [Block(0, 0, "P", "", False)]
-            for ord_, b in enumerate(blocks):
-                cols["url"].append(url)
-                cols["warc_ts"].append(ts)
-                cols["lang"].append(lang)
-                cols["status"].append(status)
-                cols["page_no"].append(b.page_no)
-                cols["block_no"].append(b.block_no)
-                # DOM order within the row: the fused plan consumes blocks
-                # in parse order, and <section data-page> values need not be
-                # monotonic, so page_no is NOT a valid order key
-                cols["block_ord"].append(ord_)
-                cols["tag"].append(b.tag)
-                cols["text"].append(b.text)
+        status, counts, flat = [], [], []
+        for html, pdf, text in zip(*(c[k].to_pylist() for k in ("html", "pdf", "text"))):
+            blocks, st = document_blocks(html, text, self.cfg, pdf)
+            # keep one sentinel row so rejected documents still appear
+            blocks = blocks or [Block(0, 0, "P", "", False)]
+            status.append(st)
+            counts.append(len(blocks))
+            flat.extend(blocks)
+        counts = np.asarray(counts, dtype=np.int64)
+        rows = pa.array(np.repeat(np.arange(batch.num_rows), counts))
+        # DOM order within the row: the fused plan consumes blocks in parse
+        # order, and <section data-page> values need not be monotonic, so
+        # page_no is NOT a valid order key
+        block_ord = np.arange(len(flat)) - np.repeat(np.cumsum(counts) - counts, counts)
         return pa.table(
             {
-                "url": pa.array(cols["url"], pa.string()),
-                "warc_ts": pa.array(cols["warc_ts"], pa.timestamp("us")),
-                "lang": pa.array(cols["lang"], pa.string()),
-                "status": pa.array(cols["status"], pa.string()),
-                "page_no": pa.array(cols["page_no"], pa.int32()),
-                "block_no": pa.array(cols["block_no"], pa.int32()),
-                "block_ord": pa.array(cols["block_ord"], pa.int32()),
-                "tag": pa.array(cols["tag"], pa.string()),
-                "text": pa.array(cols["text"], pa.large_string()),
+                "url": c["url"].cast(pa.string()).take(rows),
+                "warc_ts": c["warc_ts"].take(rows),
+                "lang": c["lang"].cast(pa.string()).take(rows),
+                "status": pa.array(status, pa.string()).take(rows),
+                "page_no": pa.array([b.page_no for b in flat], pa.int32()),
+                "block_no": pa.array([b.block_no for b in flat], pa.int32()),
+                "block_ord": pa.array(block_ord, pa.int32()),
+                "tag": pa.array([b.tag for b in flat], pa.string()),
+                "text": pa.array([b.text for b in flat], pa.large_string()),
             }
         )
 
@@ -307,10 +308,10 @@ def _sorted(t: pa.Table, keys: list[str]) -> pa.Table:
 
 
 def _assemble_bucket(bucket: pa.Table, cfg: ExtractConfig) -> pa.Table:
-    """A hash bucket of block rows (whole url-groups, many urls) -> one
-    ``EXTRACTED_SCHEMA`` row per url.  Explicit sort inside the bucket:
-    Ray Data does not guarantee row order across the shuffle
-    (SURVEY.md §1.1)."""
+    """The block rows of one sorted block (whole url-groups of one or more
+    hash buckets, many urls) -> one ``EXTRACTED_SCHEMA`` row per url.  One
+    explicit sort for the whole block, one ``take`` and one cast: Ray Data
+    does not guarantee row order across the shuffle (SURVEY.md §1.1)."""
     # order = (crawl-record order, DOM order): warc_ts disambiguates
     # multi-row documents (rows of one url must differ in warc_ts);
     # block_ord is the DOM position within a row — the same order the
@@ -376,10 +377,11 @@ def rebuild_blocks(t: pa.Table) -> pa.Table:
 
 def reassemble_blocks(blocks: "ray.data.Dataset", assemble) -> "ray.data.Dataset":
     """The staged plans' wide step, one shuffle: block rows ->
-    ``assemble(bucket)`` per hash bucket of urls.  ``compact_blocks`` runs
-    first on every block, in the same task as the parse map and the
-    shuffle's bucket-tag map; a hot url reaches its reducer as at most one
-    packed row per input block, never as every raw block row."""
+    ``assemble(block)`` once per sorted block of whole url buckets.
+    ``compact_blocks`` runs first on every block, in the same task as the
+    parse map and the shuffle's bucket-tag map; a hot url reaches its
+    reducer as at most one packed row per input block, never as every raw
+    block row."""
     return bucketed_group_apply(
         blocks.map_batches(compact_blocks, batch_format="pyarrow"), ["url"],
         lambda t: assemble(rebuild_blocks(t)), body_format="pyarrow")
@@ -404,9 +406,11 @@ def extract_pages_staged(
     packs each url's rows of its block into one list row, so the per-url
     reducer merges one partial per input block of that url instead of
     every raw row; the reducer flattens the partials and re-sorts on the
-    full order key, so packing cannot change the output.  One shuffle
-    instead of the salted plan's two: perfbench ``staged_multirow_skew``
-    ``staged_s`` 0.80 / 0.92 s -> 0.59 / 0.59 s (seed 3, 1 Ray CPU).
+    full order key, so packing cannot change the output.  One shuffle,
+    then one reassembly call per sorted block of whole url buckets:
+    perfbench ``staged_multirow_skew`` ``staged_s`` 0.53 s -> 0.46 s
+    against one call per bucket (seed 3, 1 Ray CPU, median of six traced
+    runs each).
 
     ``salt`` is accepted and ignored: map-side packing replaced the
     salted two-pass plan, and the keyword no longer changes the plan."""

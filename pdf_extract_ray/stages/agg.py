@@ -6,10 +6,12 @@ dominates when there are 10^4+ groups of a few rows each — exactly the
 shape of per-url reassembly, per-(user,window) rollups and dedup keys at
 crawl scale.
 
-The pattern here: hash rows into a bounded number of COARSE buckets (one
-shuffle, same data movement as the naive groupby), then run ONE task per
-bucket whose body is vectorized pandas/pyarrow over all of that bucket's
-groups.  Group count no longer appears in the task count.
+The pattern here: hash rows into a bounded number of COARSE buckets, sort
+on the bucket id (one range-partitioned shuffle, same data movement as the
+naive groupby), then make ONE ``fn`` call per sorted block.  A sorted
+block holds whole buckets, and ``fn``'s body is vectorized pandas/pyarrow
+over all of their groups.  Neither group count nor bucket count appears
+in the task count or the call count.
 
 The bucket hash is deterministic (pandas.util.hash_pandas_object with the
 default hash key), so the same key always lands in the same bucket at any
@@ -114,9 +116,13 @@ def bucketed_group_apply(
     body_format: str = "pandas",
 ) -> Dataset:
     """Co-locate rows by ``keys`` into coarse hash buckets, then apply ``fn``
-    once per bucket.  ``fn`` receives ALL rows of the bucket (a superset of
-    whole key-groups, never a partial group) and should use vectorized
-    pandas (``g.groupby(keys)...``) / pyarrow internally.
+    once per sorted block.  The shuffle is a range-partitioned sort on the
+    bucket id, which keeps each bucket's rows in one output block, and the
+    map takes each block whole (``batch_size=None``).  So ``fn`` receives
+    ALL rows of one or SEVERAL buckets per call (a superset of whole
+    key-groups, never a partial group, in no promised row order) and
+    should use vectorized pandas (``g.groupby(keys)...``) / pyarrow
+    internally; it must not assume one bucket per call.
 
     The bucket-tagging map is Arrow-native: the batch never converts to
     pandas on the map side (``_bucket_of_arrow`` appends one int64 column
@@ -133,7 +139,7 @@ def bucketed_group_apply(
 
     ``body_format``: ``"pandas"`` (default — ``fn`` takes/returns a
     DataFrame) or ``"pyarrow"`` (``fn`` takes/returns a ``pa.Table``;
-    skips the per-group pandas conversion for Arrow-native bodies)."""
+    skips the per-block pandas conversion for Arrow-native bodies)."""
     nb = num_buckets or default_num_buckets()
     keys = list(keys)
 
@@ -143,20 +149,18 @@ def bucketed_group_apply(
         )
 
     if body_format == "pandas":
-        def apply(group: pd.DataFrame) -> pd.DataFrame:
-            g = group.drop(columns=["__bucket"]) if drop_bucket else group
-            return fn(g)
+        def apply(block: pd.DataFrame) -> pd.DataFrame:
+            return fn(block.drop(columns=["__bucket"]) if drop_bucket else block)
     else:
-        def apply(group: pa.Table) -> pa.Table:
-            g = group.drop_columns(["__bucket"]) if drop_bucket else group
-            return fn(g)
+        def apply(block: pa.Table) -> pa.Table:
+            return fn(block.drop_columns(["__bucket"]) if drop_bucket else block)
 
     return (
         ds.map_batches(
             add_bucket, batch_format="pyarrow", batch_size=pre_batch_size,
         )
-        .groupby("__bucket")
-        .map_groups(apply, batch_format=body_format)
+        .sort("__bucket")
+        .map_batches(apply, batch_format=body_format, batch_size=None)
     )
 
 

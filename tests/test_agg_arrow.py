@@ -55,18 +55,24 @@ def test_arrow_hash_matches_on_chunked_and_large_string():
 
 def test_bucketed_apply_output_identical_to_pandas_tagging(ray_session):
     """A/B: Arrow-native tagging vs the legacy pandas round-trip tagging
-    must produce byte-identical grouped output (same buckets, same order)."""
+    must produce byte-identical grouped output (same buckets, same order).
+
+    A call holds every bucket of one sorted block, and which buckets share
+    a block follows the sort's sampled boundaries, so the body keeps the
+    bucket column and orders by (bucket, key): the global row order is
+    then fixed by the tags alone."""
     import ray.data as rd
 
     df = _frame(3000, seed=11)[["s", "i64", "f64"]]
     ds = rd.from_pandas(df).repartition(7)
 
     def roll(g: pd.DataFrame) -> pd.DataFrame:
-        return (g.sort_values(["s", "i64"], kind="mergesort")
-                 .groupby("s", as_index=False)
+        return (g.sort_values(["__bucket", "s", "i64"], kind="mergesort")
+                 .groupby(["__bucket", "s"], as_index=False)
                  .agg(n=("i64", "count"), lo=("i64", "min"), tot=("f64", "sum")))
 
-    new = bucketed_group_apply(ds, ["s"], roll, num_buckets=16).to_pandas()
+    new = bucketed_group_apply(ds, ["s"], roll, num_buckets=16,
+                               drop_bucket=False).to_pandas()
 
     # legacy path: tag via pandas hash, group the same way
     def add_bucket_pandas(b: pd.DataFrame) -> pd.DataFrame:
@@ -74,14 +80,51 @@ def test_bucketed_apply_output_identical_to_pandas_tagging(ray_session):
         b["__bucket"] = _bucket_of(b, ["s"], 16)
         return b
 
-    def apply(g: pd.DataFrame) -> pd.DataFrame:
-        return roll(g.drop(columns=["__bucket"]))
-
     old = (rd.from_pandas(df).repartition(7)
            .map_batches(add_bucket_pandas, batch_format="pandas")
-           .groupby("__bucket").map_groups(apply, batch_format="pandas")
+           .sort("__bucket")
+           .map_batches(roll, batch_format="pandas", batch_size=None)
            .to_pandas())
     pd.testing.assert_frame_equal(new, old)
+
+
+@pytest.mark.parametrize("body_format", ["pandas", "pyarrow"])
+def test_fn_called_once_per_sorted_block_of_whole_buckets(ray_session,
+                                                          body_format):
+    """With more buckets than blocks, ``fn`` runs once per sorted block:
+    every key's rows arrive in exactly one call, there are at most as many
+    calls as sort output blocks, and the output equals the per-key
+    reference."""
+    import uuid
+
+    import ray.data as rd
+
+    df = _frame(3000, seed=5)[["s", "i64"]]
+    n_blocks, n_buckets = 7, 24
+    ds = rd.from_pandas(df).repartition(n_blocks)
+
+    def record(b):
+        t = b if body_format == "pyarrow" else pa.Table.from_pandas(
+            b, preserve_index=False)
+        out = t.group_by("s").aggregate([("i64", "count"), ("i64", "sum")])
+        out = out.append_column(
+            "call", pa.array([uuid.uuid4().hex] * out.num_rows, pa.string()))
+        return out if body_format == "pyarrow" else out.to_pandas()
+
+    got = bucketed_group_apply(ds, ["s"], record, num_buckets=n_buckets,
+                               body_format=body_format).to_pandas()
+    n_sorted = (ds.map_batches(lambda t: t.append_column(
+                    "__bucket", pa.array(_bucket_of_arrow(t, ["s"], n_buckets))),
+                    batch_format="pyarrow")
+                .sort("__bucket").materialize().num_blocks())
+    assert n_sorted < n_buckets
+    # one output row per key: no key's rows were split over two calls
+    assert got["s"].is_unique
+    assert got["call"].nunique() <= n_sorted
+    ref = df.groupby("s").agg(n=("i64", "count"), tot=("i64", "sum"))
+    got = got.set_index("s").sort_index()
+    assert got["i64_count"].tolist() == ref["n"].tolist()
+    assert got["i64_sum"].tolist() == ref["tot"].tolist()
 
 
 def test_body_format_pyarrow(ray_session):

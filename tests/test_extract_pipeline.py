@@ -178,6 +178,89 @@ def test_staged_plans_emit_the_fused_schema(pages):
     assert schemas == [EXTRACTED_SCHEMA] * 2
 
 
+def _ns_pages(ts_ns):
+    """``pages_table`` rows whose ``warc_ts`` is ``timestamp[ns]``."""
+    t = pages_table(len(ts_ns), SEED)
+    return t.set_column(t.schema.get_field_index("warc_ts"), "warc_ts",
+                        pa.array(ts_ns, pa.timestamp("ns")))
+
+
+@pytest.mark.parametrize("plan", ["fused", "staged"])
+def test_ns_warc_ts_follows_one_rule_in_every_plan(ray_session, tmp_path,
+                                                   plan):
+    """A ``timestamp[ns]`` input leaves each plan, and ``extract --input``,
+    as ``EXTRACTED_SCHEMA``'s ``timestamp[us]`` with its values kept; a
+    sub-µs value raises instead of being truncated."""
+    from datetime import datetime
+
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from pdf_extract_ray.__main__ import main
+    from pdf_extract_ray.pipelines.extract import EXTRACTED_SCHEMA
+
+    run = {"fused": extract_pages_fused, "staged": extract_pages_staged}[plan]
+    whole = _ns_pages([k * 1_000_000_000 for k in range(1, 7)])
+    want = [datetime(1970, 1, 1, 0, 0, k) for k in range(1, 7)]
+    out = run(rd.from_arrow(whole)).materialize()
+    assert out.schema().base_schema == EXTRACTED_SCHEMA
+    assert sorted(r["warc_ts"] for r in out.take_all()) == want
+
+    (tmp_path / "in").mkdir()
+    pq.write_table(whole, tmp_path / "in" / "p0.parquet")
+    assert main(["extract", "--input", str(tmp_path / "in" / "*.parquet"),
+                 "--out", str(tmp_path / "out"), "--plan", plan]) == 0
+    cli = pq.read_table(tmp_path / "out" / "part=0")
+    assert cli.schema.remove_metadata() == EXTRACTED_SCHEMA
+    assert sorted(cli["warc_ts"].to_pylist()) == want
+
+    with pytest.raises(Exception, match="would lose data"):
+        run(rd.from_arrow(_ns_pages([1_000_000_001]))).materialize()
+
+
+def test_zero_row_input_at_one_cpu(tmp_path):
+    """``extract_pages_staged`` and ``bucketed_group_apply`` (both body
+    formats) return 0 rows from zero-row input, whole or as several empty
+    blocks, in a 1-CPU Ray session: no stall, no crash."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    script = """
+import json
+import ray, ray.data as rd
+from pdf_extract_ray.corpus import pages_table
+from pdf_extract_ray.pipelines.extract import extract_pages_staged
+from pdf_extract_ray.stages.agg import bucketed_group_apply
+
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR")
+rd.DataContext.get_current().enable_progress_bars = False
+t = pages_table(12, 1)
+inputs = {
+    "whole": lambda: rd.from_arrow(t.slice(0, 0)),
+    "blocks": lambda: rd.from_arrow(t).repartition(3).map_batches(
+        lambda b: b.slice(0, 0), batch_format="pyarrow"),
+}
+counts = {}
+for name, make in inputs.items():
+    counts[name + "_staged"] = extract_pages_staged(make()).count()
+    for fmt in ("pandas", "pyarrow"):
+        counts[name + "_" + fmt] = bucketed_group_apply(
+            make(), ["url"], lambda b: b, body_format=fmt).count()
+print(json.dumps(counts))
+ray.shutdown()
+"""
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": repo})
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    counts = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert len(counts) == 6 and set(counts.values()) == {0}, counts
+
+
 def _block_rows(spec, *, seed=7):
     """Scrambled block rows: ``spec`` is (url, records) pairs, each record
     three blocks with its own warc_ts."""
