@@ -14,6 +14,7 @@ reference: cli.py:113-361, SURVEY.md §3.1-3.2).
 `extract` is resumable: re-running skips manifested partitions.
 `retry-failed` clears failed manifest rows of an `extract` run and
 re-runs only those; it refuses a directory another pipeline wrote.
+`status` refuses (exit 2) a directory that holds no run manifest.
 A command starts a Ray session when none is running and shuts down only
 a session it started; library code never calls ray.init().
 """
@@ -186,21 +187,27 @@ def cmd_export(args) -> int:
 
 
 def cmd_status(args) -> int:
+    """Roll up the manifest of a run directory; a directory with no
+    manifest is refused (exit 2), so a mistyped ``--out`` never reads
+    as an empty, healthy run."""
+    from collections import Counter
+
     from pdf_extract_ray.state.manifest import Manifest
 
-    m = Manifest(os.path.join(args.out, "_manifest.jsonl"))
-    rollup = m.status_rollup()
-    failed = m.failed()
-    rows = m.read()
+    path = os.path.join(args.out, "_manifest.jsonl")
+    if not os.path.exists(path):
+        print(f"status: no run manifest at {path}", file=sys.stderr)
+        return 2
+    rows = Manifest(path).read()
     completed = [r for r in rows if r["status"] == "completed"]
     print(json.dumps({
-        "rollup": rollup,
+        "rollup": dict(Counter(r["status"] for r in rows)),
         "rows_total": sum(r["n_rows"] for r in completed),
         "mean_rows_per_s": round(
             sum(r["rows_per_s"] for r in completed) / len(completed), 1
         ) if completed else 0.0,
         "failed": [{"partition_id": r["partition_id"], "error": r.get("error")}
-                   for r in failed],
+                   for r in rows if r["status"] == "failed"],
     }))
     return 0
 

@@ -20,10 +20,8 @@ it is materialized once (pinned blocks, spillable) and each iteration
 is one narrow map over edges (broadcast lookup, emits (dst, partial)
 rows pre-summed per batch) plus one small bucketed merge
 (``grouped_aggregate``) — edge text never moves twice, and nothing
-driver-side ever scales with the edge count.  A page-level graph
-(vertex state larger than one machine) would need the fully
-distributed rank-join variant; this operator targets the host graph
-its input (``stages/links.host_link_edges``) produces.
+driver-side ever scales with the edge count.  This operator targets
+the host graph its input (``stages/links.host_link_edges``) produces.
 """
 
 from __future__ import annotations
@@ -125,196 +123,6 @@ def pagerank(
     if round_digits is not None:
         vals = round_half_away(vals, round_digits)
     return pd.DataFrame({"node": nodes.to_numpy(), "rank": vals})
-
-
-def _cogroup(a: Dataset, b: Dataset, key: str, fn, *,
-             a_cols: list[str], b_cols: list[str],
-             num_buckets: int | None = None) -> Dataset:
-    """Tag-union-bucket cogroup (the align/boilerplate pattern): ``fn``
-    receives the bucket's rows from each side as two DataFrames whose
-    key-groups are complete (never split across buckets).  Column lists
-    are passed explicitly — ``Dataset.schema()`` on a lazy input would
-    trigger an extra execution of its whole upstream chain."""
-    from pdf_extract_ray.stages.agg import bucketed_group_apply
-    shared = set(a_cols) & set(b_cols)
-    if shared:
-        raise ValueError(f"cogroup sides share columns {shared}")
-
-    def tag(side: int, other_cols: list[str]):
-        def apply(df: pd.DataFrame) -> pd.DataFrame:
-            df = df.copy()
-            df["__side"] = np.int8(side)
-            for c in other_cols:
-                df[c] = None
-            return df
-        return apply
-
-    u = (a.map_batches(tag(0, b_cols), batch_format="pandas")
-         .union(b.map_batches(tag(1, a_cols), batch_format="pandas")))
-
-    def body(g: pd.DataFrame) -> pd.DataFrame:
-        left = g[g["__side"] == 0][[key] + a_cols]
-        right = g[g["__side"] == 1][[key] + b_cols]
-        return fn(left, right)
-
-    return bucketed_group_apply(u, [key], body, num_buckets=num_buckets)
-
-
-def pagerank_distributed(
-    edges: Dataset,
-    *,
-    src_col: str = "src_host",
-    dst_col: str = "dst_host",
-    weight_col: str | None = None,
-    damping: float = 0.85,
-    n_iter: int = 10,
-    num_buckets: int | None = None,
-    round_digits: int | None = 6,
-) -> Dataset:
-    """Page-level scale variant of :func:`pagerank`: NO broadcast vertex
-    state — ranks live as a Dataset and every per-iteration join is a
-    bucketed cogroup, so the vertex set may exceed one machine.  Costs
-    two small shuffles per round ((node,rank) and (dst,partial) rows —
-    keys + floats only, never text); use :func:`pagerank` when the
-    vertex vector fits in the object store (hosts), this when it cannot
-    (pages).  Same frozen semantics; agrees with the reference to
-    ``round_digits``."""
-    edges = edges.materialize()
-    wexpr = {"W": (weight_col, "sum")} if weight_col else {
-        "W": (dst_col, "count")}
-    out_w = grouped_aggregate(edges, [src_col], wexpr).map_batches(
-        lambda b: b.rename(columns={src_col: "src"}),
-        batch_format="pandas").materialize()
-
-    # per-edge contribution fraction f = w/W(src): one setup cogroup
-    def frac_body(e: pd.DataFrame, d: pd.DataFrame) -> pd.DataFrame:
-        if not len(e):
-            return pd.DataFrame({"src": [], "dst": [], "f": []})
-        W = d.set_index("src")["W"].astype(np.float64)
-        w = (e["w"].to_numpy(np.float64) if "w" in e.columns
-             else np.ones(len(e)))
-        # zero-total-weight sources contribute nothing and count as
-        # dangling — the same frozen rule as pagerank()'s safe_w guard
-        We = W.reindex(e["src"]).to_numpy(np.float64)
-        return pd.DataFrame({
-            "src": e["src"].to_numpy(),
-            "dst": e["dst"].to_numpy(),
-            "f": np.where(We > 0, w / np.where(We > 0, We, np.inf), 0.0),
-        })
-
-    def project_edges(b: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame({"src": b[src_col], "dst": b[dst_col]})
-        if weight_col:
-            out["w"] = b[weight_col].astype(np.float64)
-        return out
-
-    efrac = _cogroup(
-        edges.map_batches(project_edges, batch_format="pandas"),
-        out_w, "src", frac_body,
-        a_cols=["dst", "w"] if weight_col else ["dst"], b_cols=["W"],
-        num_buckets=num_buckets).materialize()
-
-    # node table with the static dangling flag (no outgoing edges)
-    endpoints = (edges.map_batches(
-        lambda b: pd.DataFrame({"node": b[src_col]}),
-        batch_format="pandas")
-        .union(edges.map_batches(
-            lambda b: pd.DataFrame({"node": b[dst_col]}),
-            batch_format="pandas")))
-    distinct_nodes = grouped_aggregate(
-        endpoints, ["node"], {"n": ("node", "count")}).map_batches(
-        lambda b: b[["node"]], batch_format="pandas")
-
-    def flag_body(nd: pd.DataFrame, hw: pd.DataFrame) -> pd.DataFrame:
-        if not len(nd):
-            return pd.DataFrame({"node": pd.Series([], dtype="object"),
-                                 "dangling": pd.Series([], dtype=bool)})
-        return pd.DataFrame({
-            "node": nd["node"].to_numpy(),
-            "dangling": ~nd["node"].isin(hw["node"]).to_numpy(),
-        })
-
-    node_tbl = _cogroup(
-        distinct_nodes,
-        out_w.map_batches(
-            # dangling == zero TOTAL out-weight, not merely no edge rows
-            # (matches pagerank()'s `out_w == 0.0` rule)
-            lambda b: pd.DataFrame(
-                {"node": b.loc[b["W"].astype(np.float64) > 0, "src"],
-                 "has_out": True}),
-            batch_format="pandas"),
-        "node", flag_body, a_cols=[], b_cols=["has_out"],
-        num_buckets=num_buckets).materialize()
-
-    n = node_tbl.count()
-    if n == 0:
-        import ray.data as rd
-
-        return rd.from_pandas(pd.DataFrame(
-            {"node": pd.Series([], dtype="object"),
-             "rank": pd.Series([], dtype="float64")}))
-
-    ranks = node_tbl.map_batches(
-        lambda b: b.assign(rank=1.0 / n), batch_format="pandas"
-    ).materialize()
-
-    def contrib_body(r: pd.DataFrame, e: pd.DataFrame) -> pd.DataFrame:
-        if not len(e) or not len(r):
-            return pd.DataFrame({"dst": pd.Series([], dtype="object"),
-                                 "c": pd.Series([], dtype=np.float64)})
-        rk = r.set_index("src")["rank"]
-        c = (rk.reindex(e["src"]).fillna(0.0).to_numpy(np.float64)
-             * e["f"].to_numpy(np.float64))
-        # pre-sum per (bucket, dst): the dst shuffle carries partials
-        return (pd.DataFrame({"dst": e["dst"].to_numpy(), "c": c})
-                .groupby("dst", sort=False, as_index=False)["c"].sum())
-
-    for _ in range(n_iter):
-        d_mass = ranks.map_batches(
-            lambda b: pd.DataFrame(
-                {"m": [float(b.loc[b["dangling"], "rank"].sum())]}),
-            batch_format="pandas").sum("m")
-
-        rank_rows = ranks.map_batches(
-            lambda b: pd.DataFrame({"src": b["node"], "rank": b["rank"]}),
-            batch_format="pandas")
-        sums = grouped_aggregate(
-            _cogroup(rank_rows, efrac, "src", contrib_body,
-                     a_cols=["rank"],
-                     b_cols=["dst", "f"], num_buckets=num_buckets),
-            ["dst"], {"s": ("c", "sum")}).map_batches(
-            lambda b: pd.DataFrame({"node": b["dst"], "s": b["s"]}),
-            batch_format="pandas")
-
-        base = (1.0 - damping) / n + damping * d_mass / n
-
-        def new_rank_body(nd: pd.DataFrame, sm: pd.DataFrame,
-                          base=base) -> pd.DataFrame:
-            if not len(nd):
-                return pd.DataFrame({
-                    "node": pd.Series([], dtype="object"),
-                    "dangling": pd.Series([], dtype=bool),
-                    "rank": pd.Series([], dtype=np.float64)})
-            s = (sm.set_index("node")["s"] if len(sm)
-                 else pd.Series(dtype=np.float64))
-            sv = s.reindex(nd["node"]).fillna(0.0).to_numpy(np.float64)
-            return pd.DataFrame({
-                "node": nd["node"].to_numpy(),
-                "dangling": nd["dangling"].to_numpy(),
-                "rank": base + damping * sv,
-            })
-
-        ranks = _cogroup(node_tbl, sums, "node", new_rank_body,
-                         a_cols=["dangling"], b_cols=["s"],
-                         num_buckets=num_buckets).materialize()
-
-    def finish(b: pd.DataFrame) -> pd.DataFrame:
-        r = b["rank"].to_numpy(np.float64)
-        if round_digits is not None:
-            r = round_half_away(r, round_digits)
-        return pd.DataFrame({"node": b["node"].to_numpy(), "rank": r})
-
-    return ranks.map_batches(finish, batch_format="pandas")
 
 
 def pagerank_reference(

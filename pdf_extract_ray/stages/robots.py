@@ -125,7 +125,6 @@ def robots_txt_verdicts(
     robots_text_col: str = "robots_txt",
     agent: str = "*",
     num_buckets: int | None = None,
-    unique_urls: bool = False,
 ) -> Dataset:
     """``(url, host, allowed)`` for every page, honoring each host's
     robots.txt.
@@ -134,13 +133,7 @@ def robots_txt_verdicts(
     pattern) — only (url, host) rows and the robots texts shuffle, page
     bodies never move; each host's file parses ONCE per bucket and is
     evaluated against all of its urls.  A host with no robots.txt row
-    allows everything (RFC: fetch failure = no restrictions).
-
-    ``unique_urls=True`` emits ONE verdict row per distinct url instead
-    of one per page row — the mode ``filter_by_robots_txt`` needs so its
-    inner join does not multiply pages that share a url (crawl inputs
-    commonly repeat urls; round-4 ADVICE).  All rows for a url hash to
-    the same host bucket, so the in-bucket unique is a complete dedup."""
+    allows everything (RFC: fetch failure = no restrictions)."""
     import numpy as np
 
     from pdf_extract_ray.functions.robotstxt import (
@@ -181,8 +174,7 @@ def robots_txt_verdicts(
         out_url, out_host, out_ok = [], [], []
         for host, grp in pages_g.groupby("host", sort=False):
             rules = parse_robots_txt(texts.get(host), agent)
-            urls = pd.unique(grp["url"]) if unique_urls else grp["url"]
-            for url in urls:
+            for url in grp["url"]:
                 out_url.append(url)
                 out_host.append(host)
                 out_ok.append(robots_allowed(rules, url_path(url)))
@@ -191,45 +183,6 @@ def robots_txt_verdicts(
 
     return bucketed_group_apply(u, ["host"], body,
                                 num_buckets=num_buckets)
-
-
-def filter_by_robots_txt(
-    pages: Dataset,
-    robots: Dataset,
-    *,
-    url_col: str = "url",
-    agent: str = "*",
-    num_buckets: int | None = None,
-    num_partitions: int = 8,
-) -> Dataset:
-    """Pages whose url the host's robots.txt allows.  The verdict
-    cogroup moves (url, host) rows only; the page BODIES are then kept
-    or dropped by an inner join of the allowed urls back onto the pages
-    dataset.
-
-    ``num_partitions`` sizes the join's hash-shuffle aggregator pool —
-    keep it at or below the CPU budget (align.py's measured contract:
-    long-lived join actors on top of the other stages deadlock a small
-    CPU budget; 8 is safe at the test floor, raise it on real
-    clusters)."""
-    def as_allowed(b: pd.DataFrame) -> pd.DataFrame:
-        keep = b[b["allowed"]]
-        return pd.DataFrame(
-            {"__allowed_url": pd.array(keep["url"].tolist(),
-                                       dtype="string")})
-
-    # the explicit repartition before the join is load-bearing (same as
-    # pipelines/align.py): it normalizes the bucketed-cogroup output
-    # into uniformly-schema'd blocks the hash-join aggregators accept
-    # unique_urls=True: pages sharing a url (common in crawls) must not
-    # be multiplied by the inner join — one verdict row per distinct url
-    allowed = robots_txt_verdicts(
-        pages, robots, url_col=url_col, agent=agent,
-        num_buckets=num_buckets, unique_urls=True).map_batches(
-            as_allowed, batch_format="pandas").repartition(num_partitions)
-    return pages.join(allowed, join_type="inner",
-                      num_partitions=num_partitions,
-                      on=(url_col,), right_on=("__allowed_url",))
 
 
 def crawl_delays(

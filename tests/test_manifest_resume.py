@@ -498,3 +498,35 @@ def test_retry_failed_refuses_other_pipelines_output(ray_session, tmp_path,
     rc = main(["retry-failed", "--input", glob_, "--out", out])
     assert rc != 0
     assert snapshot() == before
+
+
+def test_status_refuses_directory_without_manifest(tmp_path, capsys):
+    """A mistyped ``--out`` must not read as an empty, healthy run."""
+    from pdf_extract_ray.__main__ import main
+
+    assert main(["status", "--out", str(tmp_path / "no" / "such")]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    # stderr may also carry log lines of an earlier test's Ray workers
+    refusals = [ln for ln in cap.err.splitlines() if ln.startswith("status:")]
+    assert len(refusals) == 1 and "no run manifest" in refusals[0]
+
+
+def test_status_rollup_of_finished_extract(ray_session, tmp_path, capsys):
+    from collections import Counter
+
+    from pdf_extract_ray.__main__ import main
+
+    write_pages_corpus(str(tmp_path / "in"), n_docs=60, docs_per_file=20)
+    out = str(tmp_path / "out")
+    assert main(["extract", "--input", str(tmp_path / "in" / "*.parquet"),
+                 "--out", out, "--files-per-partition", "1",
+                 "--num-cpus", "1"]) == 0
+    capsys.readouterr()
+    assert main(["status", "--out", out]) == 0
+    report = json.loads(capsys.readouterr().out)
+    rows = Manifest(os.path.join(out, "_manifest.jsonl")).read()
+    assert report["rollup"] == dict(Counter(r["status"] for r in rows))
+    assert report["rollup"] == {"completed": 3}
+    assert report["rows_total"] == sum(r["n_rows"] for r in rows)
+    assert report["failed"] == []

@@ -1,9 +1,8 @@
 """robots.txt (RFC 9309 subset): parse + most-specific-match decisions
-(functions/robotstxt.py) and the host-cogrouped verdict/filter stages
+(functions/robotstxt.py) and the host-cogrouped verdict stage
 (stages/robots.py)."""
 
 import pandas as pd
-import pytest
 
 from pdf_extract_ray.functions.robotstxt import (
     parse_robots_txt,
@@ -79,13 +78,10 @@ def test_url_path_extraction():
     assert url_path("not a url") == "/"
 
 
-def test_verdicts_cogroup_and_filter(ray_session):
+def test_verdicts_cogroup(ray_session):
     import ray.data as rd
 
-    from pdf_extract_ray.stages.robots import (
-        filter_by_robots_txt,
-        robots_txt_verdicts,
-    )
+    from pdf_extract_ray.stages.robots import robots_txt_verdicts
 
     pages = rd.from_pandas(pd.DataFrame({
         "url": ["http://A.example/private/1",     # host case-folds
@@ -110,12 +106,6 @@ def test_verdicts_cogroup_and_filter(ray_session):
         "http://b.example/anything": True,
         "http://c.example/x.pdf": False,
     }
-
-    kept = filter_by_robots_txt(pages, robots).to_pandas()
-    assert sorted(kept["url"]) == ["http://a.example/p/3",
-                                   "http://a.example/private/ok/2",
-                                   "http://b.example/anything"]
-    assert set(kept.columns) == {"url", "body"}  # bodies survive intact
 
 
 def test_sitemap_lines_extracted_anywhere():
@@ -155,16 +145,11 @@ def test_unknown_fields_do_not_end_agent_stacking_run():
     assert robots_allowed(rb, "/x") is True
 
 
-def test_filter_by_robots_txt_duplicate_urls_not_multiplied(ray_session):
-    # round-4 ADVICE (medium): pages with duplicate urls were multiplied
-    # by the verdict inner join (2 allowed rows with the same url came
-    # back as 4).  The verdict side now dedups urls in-bucket.
+def test_verdicts_one_row_per_page_row(ray_session):
+    # pages that share a url each get their own verdict row
     import ray.data as rd
 
-    from pdf_extract_ray.stages.robots import (
-        filter_by_robots_txt,
-        robots_txt_verdicts,
-    )
+    from pdf_extract_ray.stages.robots import robots_txt_verdicts
 
     pages = rd.from_pandas(pd.DataFrame({
         "url": ["http://a.example/p/1", "http://a.example/p/1",
@@ -176,19 +161,9 @@ def test_filter_by_robots_txt_duplicate_urls_not_multiplied(ray_session):
         {"host": "a.example",
          "robots_txt": "User-agent: *\nDisallow: /private/\n"},
     ])
-    kept = filter_by_robots_txt(pages, robots).to_pandas()
-    # BOTH copies of the allowed duplicate survive — exactly once each
-    assert sorted(kept["url"]) == ["http://a.example/p/1",
-                                   "http://a.example/p/1",
-                                   "http://b.example/x"]
-    assert sorted(kept["body"]) == ["b0", "b1", "b4"]
-    # the verdicts query itself keeps one row PER PAGE ROW by default
-    # (its frozen oracle semantics)...
+    # one row PER PAGE ROW (the frozen oracle semantics)
     v = robots_txt_verdicts(pages, robots).to_pandas()
     assert len(v) == 5
-    # ...and one row per DISTINCT url in unique_urls mode
-    vu = robots_txt_verdicts(pages, robots, unique_urls=True).to_pandas()
-    assert len(vu) == 3 and vu["url"].is_unique
 
 
 class TestCrawlDelay:
