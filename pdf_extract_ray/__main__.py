@@ -189,7 +189,10 @@ def cmd_export(args) -> int:
 def cmd_status(args) -> int:
     """Roll up the manifest of a run directory; a directory with no
     manifest is refused (exit 2), so a mistyped ``--out`` never reads
-    as an empty, healthy run."""
+    as an empty, healthy run.  ``rollup``, ``rows_total`` and
+    ``mean_rows_per_s`` count partition rows only; the rows of negative
+    partition ids (a global pass, a run-complete marker) are listed
+    under ``phases``."""
     from collections import Counter
 
     from pdf_extract_ray.state.manifest import Manifest
@@ -199,15 +202,20 @@ def cmd_status(args) -> int:
         print(f"status: no run manifest at {path}", file=sys.stderr)
         return 2
     rows = Manifest(path).read()
-    completed = [r for r in rows if r["status"] == "completed"]
+    parts = [r for r in rows if r["partition_id"] >= 0]
+    completed = [r for r in parts if r["status"] == "completed"]
     print(json.dumps({
-        "rollup": dict(Counter(r["status"] for r in rows)),
+        "rollup": dict(Counter(r["status"] for r in parts)),
         "rows_total": sum(r["n_rows"] for r in completed),
         "mean_rows_per_s": round(
             sum(r["rows_per_s"] for r in completed) / len(completed), 1
         ) if completed else 0.0,
         "failed": [{"partition_id": r["partition_id"], "error": r.get("error")}
                    for r in rows if r["status"] == "failed"],
+        "phases": [{"partition_id": r["partition_id"],
+                    "phase": (r.get("stage_versions") or {}).get("phase"),
+                    "status": r["status"], "n_rows": r["n_rows"]}
+                   for r in rows if r["partition_id"] < 0],
     }))
     return 0
 

@@ -4,8 +4,10 @@ table from every snapshot parquet, checkpointed so a killed run resumes
 mid-dataset (the north rule's resumability requirement applied to the
 archive pass).
 
-Two manifest-driven phases (the ``shards_run`` shape — each byte of the
-archive is read once, and only narrow rows are ever re-read):
+Two manifest-driven phases of the shared two-phase run
+(:func:`~pdf_extract_ray.pipelines.runner.bucketed_run`, which
+``shards_run`` also uses) — each byte of the archive is read once, and
+only narrow rows are ever re-read:
 
 1. **Tag pass** (narrow, input-partitioned, ``run_partitioned``): each
    input partition streams through one ``map_batches`` that hashes the
@@ -29,12 +31,6 @@ the SQL-parity hash of the ``scd2_url_versions`` driver query.
 """
 
 from __future__ import annotations
-
-import glob
-import hashlib
-import os
-import shutil
-import time
 
 import numpy as np
 import pandas as pd
@@ -82,110 +78,29 @@ def history_run(
     ``out_dir/bucket=%04d/*.parquet`` (schema: url, version_no,
     content_hash, valid_from, valid_to, is_current) +
     ``out_dir/_manifest.jsonl``."""
-    import ray.data as rd
-
-    from pdf_extract_ray.pipelines.runner import _rows_written
+    from pdf_extract_ray.pipelines.runner import bucketed_run
     from pdf_extract_ray.stages.history import collapse_versions
-    from pdf_extract_ray.state.manifest import (
-        Manifest,
-        PartitionResult,
-        run_partitioned,
-    )
 
     if method not in ("md5", "fast"):
         raise ValueError(f"method must be 'md5' or 'fast', got {method!r}")
-    files = sorted(glob.glob(input_glob))
-    if not files:
-        raise FileNotFoundError(f"no input files match {input_glob}")
 
-    tag_dir = os.path.join(out_dir, "_tag")
-    versions = {"engine": __version__, "pipeline": "history",
-                "url_col": url_col, "ts_col": ts_col,
-                "content_col": content_col, "method": method,
-                "n_buckets": str(n_buckets)}
+    def collapse(ds):
+        # repartition(1) + batch_size=None hand the WHOLE bucket to one
+        # collapse call — every url's rows must arrive together, and the
+        # bucket is bounded by archive-rows / n_buckets
+        return ds.repartition(1).map_batches(
+            collapse_versions, batch_format="pandas", batch_size=None)
 
-    manifest = Manifest(os.path.join(out_dir, "_manifest.jsonl"))
-    run_versions = dict(versions, phase="complete",
-                        files_digest=hashlib.md5("\n".join(
-                            os.path.basename(f) for f in files).encode()
-                        ).hexdigest())
-    n_tag_parts = (len(files) + files_per_partition - 1) \
-        // files_per_partition
-    for row in manifest.read():
-        if (row.get("partition_id") == -2
-                and row.get("status") == "completed"
-                and row.get("stage_versions") == run_versions):
-            return {"completed": 0, "skipped": n_tag_parts, "failed": 0,
-                    "buckets_completed": 0, "buckets_skipped": n_buckets}
-
-    def tag_pipeline(part_files: list[str], tmp_out: str) -> int:
-        ds = rd.read_parquet(part_files)
-        ds.map_batches(
-            lambda b: _tag_batch(b, url_col, ts_col, content_col,
-                                 method, n_buckets),
-            batch_format="pandas",
-        ).write_parquet(tmp_out, partition_cols=[BUCKET_COL],
-                        min_rows_per_file=min_rows_per_file)
-        return _rows_written(tmp_out)
-
-    stats = run_partitioned(
-        files, tag_dir, tag_pipeline,
+    return bucketed_run(
+        input_glob, out_dir,
+        versions={"engine": __version__, "pipeline": "history",
+                  "url_col": url_col, "ts_col": ts_col,
+                  "content_col": content_col, "method": method,
+                  "n_buckets": str(n_buckets)},
+        col=BUCKET_COL, n_buckets=n_buckets,
+        tag=lambda b: _tag_batch(b, url_col, ts_col, content_col, method,
+                                 n_buckets),
+        merge=collapse, merge_phase="collapse",
         files_per_partition=files_per_partition,
-        stage_versions=dict(versions, phase="tag"),
+        min_rows_per_file=min_rows_per_file, keep_tag_dir=keep_tag_dir,
     )
-
-    merge_versions = dict(versions, phase="collapse",
-                          n_tag_partitions=str(stats["completed"]
-                                               + stats["skipped"]))
-    done = {r["partition_id"] for r in manifest.read()
-            if r.get("status") == "completed"
-            and r.get("stage_versions") == merge_versions}
-    stats["buckets_completed"] = 0
-    stats["buckets_skipped"] = 0
-    for b in range(n_buckets):
-        final_dir = os.path.join(out_dir, f"bucket={b:04d}")
-        if b in done:
-            stats["buckets_skipped"] += 1
-            continue
-        bucket_files = sorted(glob.glob(os.path.join(
-            tag_dir, "part=*", f"{BUCKET_COL}={b}", "*.parquet")))
-        tmp_dir = os.path.join(out_dir, f".tmp_bucket={b:04d}")
-        shutil.rmtree(tmp_dir, ignore_errors=True)
-        shutil.rmtree(final_dir, ignore_errors=True)
-        t0 = time.time()
-        if bucket_files:
-            # partitioning=None: hive path keys are plumbing, not data.
-            # repartition(1) + batch_size=None hand the WHOLE bucket to
-            # one collapse call — every url's rows must arrive together,
-            # and the bucket is bounded by archive-rows / n_buckets
-            rd.read_parquet(bucket_files, partitioning=None) \
-                .repartition(1).map_batches(
-                    collapse_versions, batch_format="pandas",
-                    batch_size=None,
-                ).write_parquet(tmp_dir, min_rows_per_file=min_rows_per_file)
-        os.makedirs(tmp_dir, exist_ok=True)  # empty bucket still completes
-        n_rows = _rows_written(tmp_dir)
-        os.replace(tmp_dir, final_dir)
-        wall = time.time() - t0
-        manifest.append(PartitionResult(
-            partition_id=b, status="completed",
-            input_files=[os.path.relpath(p, out_dir) for p in
-                         bucket_files[:4]] + (
-                             [f"... {len(bucket_files)} files"]
-                             if len(bucket_files) > 4 else []),
-            n_rows=n_rows, wall_s=round(wall, 3),
-            rows_per_s=round(n_rows / wall, 1) if wall > 0 else 0.0,
-            stage_versions=merge_versions,
-        ))
-        stats["buckets_completed"] += 1
-    if stats["buckets_skipped"] + stats["buckets_completed"] == n_buckets:
-        if not keep_tag_dir:
-            shutil.rmtree(tag_dir, ignore_errors=True)
-        manifest.append(PartitionResult(
-            partition_id=-2, status="completed",
-            input_files=[os.path.basename(files[0]),
-                         f"... {len(files)} files"],
-            n_rows=0, wall_s=0.0, rows_per_s=0.0,
-            stage_versions=run_versions,
-        ))
-    return stats

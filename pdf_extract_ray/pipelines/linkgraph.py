@@ -5,7 +5,8 @@ Same operational contract as ``webtext_run`` / ``quality_run``: input
 shards (parquet pages or raw ``.warc``/``.warc.gz``) process in
 manifest-recorded partitions (failed runs skip finished ones on
 re-run); the global merge is recorded as partition_id -1 and re-runs
-iff the partition phase produced new partitions.
+when the partition count, a partition flag or ``pagerank_iters``
+changes.
 
 Scale shape: edge extraction is the narrow per-document scan; each
 partition writes an ALREADY-ROLLED-UP (src_host, dst_host, n_links)
@@ -39,8 +40,11 @@ def links_run(
     """
     import ray.data as rd
 
-    from pdf_extract_ray.pipelines.runner import _rows_written
-    from pdf_extract_ray.state.manifest import run_partitioned
+    from pdf_extract_ray.state.manifest import (
+        dependent_versions,
+        rows_written,
+        run_partitioned,
+    )
 
     def pipeline(files: list[str], tmp_out: str) -> int:
         if files[0].endswith((".warc", ".warc.gz")):
@@ -59,7 +63,7 @@ def links_run(
 
             edges = host_link_edges(ds)
         edges.write_parquet(tmp_out, min_rows_per_file=min_rows_per_file)
-        return _rows_written(tmp_out)
+        return rows_written(tmp_out)
 
     files = sorted(glob.glob(input_glob))
     if not files:
@@ -67,82 +71,53 @@ def links_run(
     mixed = {f.endswith((".warc", ".warc.gz")) for f in files}
     if len(mixed) > 1:
         raise ValueError("mixed WARC and parquet inputs in one run")
+    versions = {"engine": __version__, "pipeline": "linkgraph",
+                "respect_robots": str(respect_robots)}
     stats = run_partitioned(
         files, out_dir, pipeline,
         files_per_partition=files_per_partition,
-        stage_versions={"engine": __version__, "pipeline": "linkgraph",
-                        "respect_robots": str(respect_robots)},
+        stage_versions=versions,
     )
-    stats["global"] = _merge_global(out_dir, pagerank_iters=pagerank_iters,
-                                    min_rows_per_file=min_rows_per_file)
+    stats["global"] = _merge_global(
+        out_dir, dict(dependent_versions(
+            versions, "global", stats["completed"] + stats["skipped"]),
+            pagerank_iters=str(pagerank_iters)),
+        pagerank_iters=pagerank_iters, min_rows_per_file=min_rows_per_file)
     return stats
 
 
-def _merge_global(out_dir: str, *, pagerank_iters: int,
+def _merge_global(out_dir: str, versions: dict, *, pagerank_iters: int,
                   min_rows_per_file: int) -> str:
     """Merge the per-partition rollups into the corpus host graph (one
-    small grouped sum over count tables) and optionally rank it.
-    Manifest-recorded as partition_id -1; skipped when the partition set
-    is unchanged."""
-    import shutil
-    import time as _time
-
+    small grouped sum over count tables) and optionally rank it into
+    ``out_dir/pagerank.parquet``."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
     import ray.data as rd
 
+    from pdf_extract_ray.pipelines.runner import global_pass
     from pdf_extract_ray.stages.agg import grouped_aggregate
-    from pdf_extract_ray.state.manifest import Manifest, PartitionResult
+    from pdf_extract_ray.stages.pagerank import pagerank
 
-    manifest = Manifest(os.path.join(out_dir, "_manifest.jsonl"))
-    part_dirs = sorted(glob.glob(os.path.join(out_dir, "part=*")))
-    versions = {"engine": __version__, "stage": "linkgraph_global",
-                "n_partitions": len(part_dirs),
-                "pagerank_iters": pagerank_iters}
-    for row in manifest.read():
-        if (row.get("partition_id") == -1 and row.get("status") == "completed"
-                and row.get("stage_versions") == versions):
-            return "skipped"
+    pagerank_path = os.path.join(out_dir, "pagerank.parquet")
 
-    part_files = sorted(glob.glob(os.path.join(out_dir, "part=*", "*.parquet")))
-    tmp_dir = os.path.join(out_dir, ".tmp_global")
-    final_dir = os.path.join(out_dir, "global")
-    shutil.rmtree(tmp_dir, ignore_errors=True)
-    shutil.rmtree(final_dir, ignore_errors=True)
-    t0 = _time.time()
-    if part_files:
-        merged = grouped_aggregate(
-            rd.read_parquet(part_files), ["src_host", "dst_host"],
-            {"n_links": ("n_links", "sum")})
-        merged.write_parquet(tmp_dir, min_rows_per_file=min_rows_per_file)
-    os.makedirs(tmp_dir, exist_ok=True)  # all-empty corpus: empty graph
-    n_rows = _rows_from(tmp_dir)
-    os.replace(tmp_dir, final_dir)
-    if part_files and pagerank_iters > 0:
-        from pdf_extract_ray.stages.pagerank import pagerank
+    def write(files: list[str], tmp_dir: str) -> None:
+        if os.path.exists(pagerank_path):
+            os.remove(pagerank_path)  # an earlier run's ranks
+        if files:
+            grouped_aggregate(
+                rd.read_parquet(files), ["src_host", "dst_host"],
+                {"n_links": ("n_links", "sum")},
+            ).write_parquet(tmp_dir, min_rows_per_file=min_rows_per_file)
+        if files and pagerank_iters > 0:
+            ranks = pagerank(
+                rd.read_parquet(sorted(
+                    glob.glob(os.path.join(tmp_dir, "*.parquet")))),
+                weight_col="n_links", n_iter=pagerank_iters, tol=None)
+            pq.write_table(pa.Table.from_pandas(ranks, preserve_index=False),
+                           pagerank_path)
 
-        ranks = pagerank(
-            rd.read_parquet(sorted(
-                glob.glob(os.path.join(final_dir, "*.parquet")))),
-            weight_col="n_links", n_iter=pagerank_iters, tol=None)
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        pq.write_table(pa.Table.from_pandas(ranks, preserve_index=False),
-                       os.path.join(out_dir, "pagerank.parquet"))
-    wall = _time.time() - t0
-    manifest.append(PartitionResult(
-        partition_id=-1, status="completed",
-        input_files=[os.path.basename(p) for p in part_dirs],
-        n_rows=n_rows, wall_s=round(wall, 3),
-        rows_per_s=round(n_rows / wall, 1) if wall > 0 else 0.0,
-        stage_versions=versions,
-    ))
-    return "completed"
-
-
-def _rows_from(d: str) -> int:
-    from pdf_extract_ray.pipelines.runner import _rows_written
-
-    return _rows_written(d)
+    return global_pass(out_dir, versions, write)
 
 
 # ---------------------------------------------------------------------------

@@ -1,27 +1,28 @@
-"""Resumable corpus extraction runs: manifest-driven partitions around the
-flagship pipeline (reference lifecycle analogue: SURVEY.md §3.4).
+"""Resumable corpus runs: manifest-driven partitions around the flagship
+pipeline and the quality pass (reference lifecycle analogue: SURVEY.md
+§3.4), and :func:`bucketed_run`, the two-phase tag-then-merge run of
+the ``history`` and ``shards`` commands.
 """
 
 from __future__ import annotations
 
 import glob
+import hashlib
 import os
+import shutil
+from typing import Callable
 
 from pdf_extract_ray import __version__
 from pdf_extract_ray.config import DEFAULT_CONFIG, ExtractConfig
 from pdf_extract_ray.pipelines.extract import extract_pages_fused, extract_pages_staged
-from pdf_extract_ray.state.manifest import Manifest, run_partitioned
-
-
-def _rows_written(out_dir: str) -> int:
-    import pyarrow.parquet as pq
-
-    total = 0
-    # "**" also counts partition_cols layouts (e.g. tier=<label>/ subdirs)
-    for p in glob.glob(os.path.join(out_dir, "**", "*.parquet"),
-                       recursive=True):
-        total += pq.ParquetFile(p).metadata.num_rows
-    return total
+from pdf_extract_ray.state.manifest import (
+    Manifest,
+    commit_phase,
+    dependent_versions,
+    mark_complete,
+    rows_written,
+    run_partitioned,
+)
 
 
 def extract_run(
@@ -46,7 +47,7 @@ def extract_run(
     def pipeline(files: list[str], tmp_out: str) -> int:
         ds = rd.read_parquet(files)
         extract(ds, cfg).write_parquet(tmp_out, min_rows_per_file=min_rows_per_file)
-        return _rows_written(tmp_out)
+        return rows_written(tmp_out)
 
     files = sorted(glob.glob(input_glob))
     if not files:
@@ -87,8 +88,8 @@ def quality_run(
     output into ``out_dir/global/`` — one more bucketed shuffle keyed by
     the normalized pair, keeping the min-``order_col`` row corpus-wide.
     The global pass is manifest-recorded (partition_id = -1) and
-    resume-safe: it re-runs iff the per-partition phase produced new
-    partitions since it last completed."""
+    resume-safe: a change of the partition count, of ``dedup`` or of a
+    column name redoes it, as it redoes the partitions."""
     import ray.data as rd
 
     from pdf_extract_ray.pipelines.quality import quality_pairs
@@ -98,50 +99,63 @@ def quality_run(
         quality_pairs(ds, kor_col=kor_col, eng_col=eng_col,
                       order_col=order_col, dedup=dedup).write_parquet(
             tmp_out, min_rows_per_file=min_rows_per_file)
-        return _rows_written(tmp_out)
+        return rows_written(tmp_out)
 
     files = sorted(glob.glob(input_glob))
     if not files:
         raise FileNotFoundError(f"no input files match {input_glob}")
+    versions = {"engine": __version__, "pipeline": "quality",
+                "dedup": str(dedup), "kor_col": kor_col, "eng_col": eng_col,
+                "order_col": order_col}
     stats = run_partitioned(
         files,
         out_dir,
         pipeline,
         files_per_partition=files_per_partition,
-        stage_versions={"engine": __version__, "pipeline": "quality",
-                        "dedup": str(dedup)},
+        stage_versions=versions,
     )
     if global_dedup:
         stats["global"] = _quality_global_dedup(
-            out_dir, kor_col=kor_col, eng_col=eng_col, order_col=order_col,
+            out_dir, dependent_versions(
+                versions, "global_dedup", stats["completed"] + stats["skipped"]),
+            kor_col=kor_col, eng_col=eng_col, order_col=order_col,
             min_rows_per_file=min_rows_per_file)
     return stats
 
 
-def _quality_global_dedup(out_dir: str, *, kor_col: str, eng_col: str,
-                          order_col: str, min_rows_per_file: int) -> str:
-    """Cross-partition exact dedup of a completed ``quality_run`` output.
-    Reads every ``part=*/`` directory, keeps the min-``order_col`` row per
-    normalized pair, writes atomically to ``out_dir/global/``.  Recorded
-    in the manifest as partition_id -1 with the covered partition count;
-    a resume with the same partition count skips it."""
-    import shutil
-    import time as _time
+def global_pass(out_dir: str, versions: dict,
+                write: Callable[[list[str], str], None]) -> str:
+    """Run and commit ``out_dir/global/`` (partition_id -1), a pass over
+    the whole output of a partitioned run: ``write(files, tmp_dir)`` gets
+    the parquet files of the ``n_upstream_partitions`` partitions that
+    ``versions`` (see ``dependent_versions``) counts.  A ``part=<id>/``
+    that an earlier run over more input files left behind is not read.
+    Returns ``"completed"``, or ``"skipped"`` when the manifest already
+    holds the pass under ``versions``."""
+    def run(tmp_dir: str) -> list[str]:
+        parts = [f"part={pid}" for pid in
+                 range(int(versions["n_upstream_partitions"]))]
+        # files, not dirs: read_parquet rejects a list of directories
+        write(sorted(f for p in parts for f in glob.glob(
+            os.path.join(out_dir, p, "*.parquet"))), tmp_dir)
+        return parts
 
+    manifest = Manifest(os.path.join(out_dir, "_manifest.jsonl"))
+    return "completed" if commit_phase(
+        manifest, manifest.completed(), out_dir, "global", -1, run,
+        versions) else "skipped"
+
+
+def _quality_global_dedup(out_dir: str, versions: dict, *, kor_col: str,
+                          eng_col: str, order_col: str,
+                          min_rows_per_file: int) -> str:
+    """Cross-partition exact dedup of a completed ``quality_run`` output:
+    keeps the min-``order_col`` row per normalized pair in
+    ``out_dir/global/``."""
     import pandas as pd
     import ray.data as rd
 
     from pdf_extract_ray.stages.agg import bucketed_group_apply
-    from pdf_extract_ray.state.manifest import Manifest, PartitionResult
-
-    manifest = Manifest(os.path.join(out_dir, "_manifest.jsonl"))
-    part_dirs = sorted(glob.glob(os.path.join(out_dir, "part=*")))
-    versions = {"engine": __version__, "stage": "quality_global_dedup",
-                "n_partitions": len(part_dirs)}
-    for row in manifest.read():
-        if (row.get("partition_id") == -1 and row.get("status") == "completed"
-                and row.get("stage_versions") == versions):
-            return "skipped"  # already deduped over exactly these partitions
 
     kn, en = f"{kor_col}_normalized", f"{eng_col}_normalized"
 
@@ -149,28 +163,101 @@ def _quality_global_dedup(out_dir: str, *, kor_col: str, eng_col: str,
         return bucket.sort_values(order_col, kind="mergesort") \
             .drop_duplicates(subset=[kn, en], keep="first")
 
-    tmp_dir = os.path.join(out_dir, ".tmp_global")
-    final_dir = os.path.join(out_dir, "global")
-    shutil.rmtree(tmp_dir, ignore_errors=True)
-    shutil.rmtree(final_dir, ignore_errors=True)
-    t0 = _time.time()
-    # read_parquet rejects a LIST of directories (ray 2.49): glob files
-    part_files = sorted(glob.glob(os.path.join(out_dir, "part=*", "*.parquet")))
-    if part_files:
-        ds = rd.read_parquet(part_files)
-        bucketed_group_apply(ds, [kn, en], keep_first, pre_batch_size=4096) \
-            .write_parquet(tmp_dir, min_rows_per_file=min_rows_per_file)
-    # all partitions may legitimately be empty (zero-row part dirs hold no
-    # parquet files): still complete atomically with an empty global dir
-    os.makedirs(tmp_dir, exist_ok=True)
-    n_rows = _rows_written(tmp_dir)
-    os.replace(tmp_dir, final_dir)
-    wall = _time.time() - t0
-    manifest.append(PartitionResult(
-        partition_id=-1, status="completed",
-        input_files=[os.path.basename(p) for p in part_dirs],
-        n_rows=n_rows, wall_s=round(wall, 3),
-        rows_per_s=round(n_rows / wall, 1) if wall > 0 else 0.0,
-        stage_versions=versions,
-    ))
-    return "completed"
+    def write(files: list[str], tmp_dir: str) -> None:
+        if files:
+            bucketed_group_apply(rd.read_parquet(files), [kn, en], keep_first,
+                                 pre_batch_size=4096) \
+                .write_parquet(tmp_dir, min_rows_per_file=min_rows_per_file)
+
+    return global_pass(out_dir, versions, write)
+
+
+def bucketed_run(
+    input_glob: str,
+    out_dir: str,
+    *,
+    versions: dict,
+    col: str,
+    n_buckets: int,
+    tag: Callable,
+    merge: Callable,
+    merge_phase: str,
+    files_per_partition: int,
+    min_rows_per_file: int,
+    keep_tag_dir: bool,
+) -> dict:
+    """Run (or resume) a two-phase bucketed build, each phase resumable.
+
+    1. **Tag** (``run_partitioned`` over input files): ``tag(batch)`` maps
+       each pandas batch to the rows the merge needs plus a bucket id
+       column ``col`` in ``[0, n_buckets)``, written as
+       ``out_dir/_tag/part=<pid>/<col>=<b>/``.
+    2. **Merge** (one partition per bucket): bucket ``b`` reads only
+       ``_tag/part=*/<col>=<b>/`` and ``merge(ds)`` turns it into the
+       bucket's output, committed as ``out_dir/<col>=%04d/`` with its own
+       manifest row.  A bucket redoes only itself after a crash.
+
+    Each phase's identity holds ``versions`` and a digest of the input file
+    names.  When every bucket is done, the tag dir goes (unless
+    ``keep_tag_dir``) and a run-complete row (partition_id -2) is
+    recorded, so a resume of a finished run skips both phases without its
+    tag manifest.  Stats: the tag phase's counts plus
+    ``<col>s_completed`` / ``<col>s_skipped``."""
+    import ray.data as rd
+
+    files = sorted(glob.glob(input_glob))
+    if not files:
+        raise FileNotFoundError(f"no input files match {input_glob}")
+    tag_dir = os.path.join(out_dir, "_tag")
+    manifest = Manifest(os.path.join(out_dir, "_manifest.jsonl"))
+    done = manifest.completed()
+    versions = dict(versions, files_digest=hashlib.md5("\n".join(
+        os.path.basename(f) for f in files).encode()).hexdigest())
+    run_versions = dict(versions, phase="complete")
+    n_tag_parts = -(-len(files) // files_per_partition)
+    tag_versions = dict(versions, phase="tag")
+    merge_versions = dependent_versions(tag_versions, merge_phase,
+                                        n_tag_parts)
+    n_done, n_skipped = f"{col}s_completed", f"{col}s_skipped"
+    # the marker stands only while every bucket is still this run's: a
+    # later run under other versions may have replaced some of them
+    if done.get(-2) == run_versions and all(
+            done.get(b) == merge_versions for b in range(n_buckets)):
+        return {"completed": 0, "skipped": n_tag_parts, "failed": 0,
+                n_done: 0, n_skipped: n_buckets}
+
+    def tag_pipeline(part_files: list[str], tmp_out: str) -> int:
+        rd.read_parquet(part_files).map_batches(
+            tag, batch_format="pandas",
+        ).write_parquet(tmp_out, partition_cols=[col],
+                        min_rows_per_file=min_rows_per_file)
+        return rows_written(tmp_out)
+
+    stats = run_partitioned(files, tag_dir, tag_pipeline,
+                            files_per_partition=files_per_partition,
+                            stage_versions=tag_versions)
+
+    def write_bucket(b: int) -> Callable[[str], list[str]]:
+        def write(tmp_dir: str) -> list[str]:
+            bucket_files = sorted(glob.glob(os.path.join(
+                tag_dir, "part=*", f"{col}={b}", "*.parquet")))
+            if bucket_files:
+                # partitioning=None: the hive path keys (part=<pid>,
+                # <col>=<b>) are plumbing, not data
+                merge(rd.read_parquet(bucket_files, partitioning=None)) \
+                    .write_parquet(tmp_dir, min_rows_per_file=min_rows_per_file)
+            return [os.path.relpath(p, out_dir) for p in bucket_files[:4]] \
+                + ([f"... {len(bucket_files)} files"]
+                   if len(bucket_files) > 4 else [])
+        return write
+
+    stats[n_done] = stats[n_skipped] = 0
+    for b in range(n_buckets):
+        committed = commit_phase(manifest, done, out_dir, f"{col}={b:04d}",
+                                 b, write_bucket(b), merge_versions)
+        stats[n_done if committed else n_skipped] += 1
+    if not keep_tag_dir:
+        shutil.rmtree(tag_dir, ignore_errors=True)
+    mark_complete(manifest, -2, run_versions,
+                  [os.path.basename(files[0]), f"... {len(files)} files"])
+    return stats

@@ -18,17 +18,18 @@ Mechanism — deterministic hash-rank permutation bucketing (the
 * within each shard rows are sorted by ``(shard_key, id)`` — the id
   tie-break makes the order total when two ids share a 16-hex prefix.
 
-Scale shape — TWO resumable phases, each manifest-driven, every byte
-read twice and written twice (the floor for any global shuffle that
-must also be checkpointable):
+Scale shape — TWO resumable phases of the shared two-phase run
+(:func:`~pdf_extract_ray.pipelines.runner.bucketed_run`), each
+manifest-driven, every byte read twice and written twice (the floor for
+any global shuffle that must also be checkpointable):
 
 1. **Tag pass** (narrow, input-partitioned, ``run_partitioned``): each
    input partition streams through one ``map_batches`` that appends
-   (shard, shard_key) and writes ``tag/part=<pid>/shard=<s>/`` via
+   (shard, shard_key) and writes ``_tag/part=<pid>/shard=<s>/`` via
    parquet ``partition_cols`` — no shuffle, resume skips finished input
    partitions.
 2. **Merge pass** (per-shard, its own manifest rows): shard ``s`` reads
-   ONLY ``tag/part=*/shard=<s>/`` (directory pruning — no other shard's
+   ONLY ``_tag/part=*/shard=<s>/`` (directory pruning — no other shard's
    bytes move), sorts by (shard_key, id) — a shard-local sort, spillable,
    bounded by corpus/n_shards — and writes ``out/shard=%04d/``
    atomically.  Resume skips completed shards; a crashed shard redoes
@@ -40,11 +41,7 @@ cluster memory (e.g. 100 TB / 4096 shards = ~24 GB per shard sort).
 
 from __future__ import annotations
 
-import glob
 import hashlib
-import os
-import shutil
-import time
 
 import numpy as np
 import pandas as pd
@@ -131,112 +128,21 @@ def shards_run(
     a per-row ``hashlib.md5`` loop there is the wrong default at 100 TB
     (round-4 judge finding).  ``method="md5"`` remains for SQL-oracle
     parity (``shard_oracle_sql``); both are permutation-valid."""
-    import ray.data as rd
+    from pdf_extract_ray.pipelines.runner import bucketed_run
 
-    from pdf_extract_ray.pipelines.runner import _rows_written
-    from pdf_extract_ray.state.manifest import (
-        Manifest,
-        PartitionResult,
-        run_partitioned,
-    )
-
-    files = sorted(glob.glob(input_glob))
-    if not files:
-        raise FileNotFoundError(f"no input files match {input_glob}")
-
-    tag_dir = os.path.join(out_dir, "_tag")
-    versions = {"engine": __version__, "pipeline": "shards",
-                "id_col": id_col, "n_shards": str(n_shards),
-                "method": method}
-
-    # run-complete short-circuit: the default cleanup deletes the tag
-    # dir (and with it the tag manifest), so without this marker a
-    # resume of a COMPLETED run would redo the whole tag pass just to
-    # discover every merge is already done
-    manifest = Manifest(os.path.join(out_dir, "_manifest.jsonl"))
-    run_versions = dict(versions, phase="complete",
-                        files_digest=hashlib.md5("\n".join(
-                            os.path.basename(f) for f in files).encode()
-                        ).hexdigest())
-    n_tag_parts = (len(files) + files_per_partition - 1) \
-        // files_per_partition
-    for row in manifest.read():
-        if (row.get("partition_id") == -2
-                and row.get("status") == "completed"
-                and row.get("stage_versions") == run_versions):
-            return {"completed": 0, "skipped": n_tag_parts, "failed": 0,
-                    "shards_completed": 0, "shards_skipped": n_shards}
-
-    def tag_pipeline(part_files: list[str], tmp_out: str) -> int:
-        ds = rd.read_parquet(part_files)
-        ds.map_batches(
-            lambda b: assign_shard_batch(b, id_col, n_shards, method),
-            batch_format="pandas",
-        ).write_parquet(tmp_out, partition_cols=[SHARD_COL],
-                        min_rows_per_file=min_rows_per_file)
-        return _rows_written(tmp_out)
-
-    stats = run_partitioned(
-        files, tag_dir, tag_pipeline,
+    return bucketed_run(
+        input_glob, out_dir,
+        versions={"engine": __version__, "pipeline": "shards",
+                  "id_col": id_col, "n_shards": str(n_shards),
+                  "method": method},
+        col=SHARD_COL, n_buckets=n_shards,
+        tag=lambda b: assign_shard_batch(b, id_col, n_shards, method),
+        merge=lambda ds: ds.sort([SHARD_KEY_COL, id_col])
+        .drop_columns([SHARD_KEY_COL]),
+        merge_phase="merge",
         files_per_partition=files_per_partition,
-        stage_versions=dict(versions, phase="tag"),
+        min_rows_per_file=min_rows_per_file, keep_tag_dir=keep_tag_dir,
     )
-
-    # ---- merge pass: one manifest row per shard (ids offset past the
-    # tag partitions live in out_dir's own manifest) -------------------
-    merge_versions = dict(versions, phase="merge",
-                          n_tag_partitions=str(stats["completed"]
-                                               + stats["skipped"]))
-    done = {r["partition_id"] for r in manifest.read()
-            if r.get("status") == "completed"
-            and r.get("stage_versions") == merge_versions}
-    stats["shards_completed"] = 0
-    stats["shards_skipped"] = 0
-    for s in range(n_shards):
-        final_dir = os.path.join(out_dir, f"shard={s:04d}")
-        if s in done:
-            stats["shards_skipped"] += 1
-            continue
-        shard_files = sorted(glob.glob(os.path.join(
-            tag_dir, "part=*", f"{SHARD_COL}={s}", "*.parquet")))
-        tmp_dir = os.path.join(out_dir, f".tmp_shard={s:04d}")
-        shutil.rmtree(tmp_dir, ignore_errors=True)
-        shutil.rmtree(final_dir, ignore_errors=True)
-        t0 = time.time()
-        if shard_files:
-            # partitioning=None: the hive path keys (part=<pid>,
-            # shard=<s>) are plumbing, not data — without this the read
-            # re-injects them as columns
-            ds = rd.read_parquet(shard_files, partitioning=None) \
-                .sort([SHARD_KEY_COL, id_col])
-            ds.drop_columns([SHARD_KEY_COL]).write_parquet(
-                tmp_dir, min_rows_per_file=min_rows_per_file)
-        os.makedirs(tmp_dir, exist_ok=True)  # empty shard still completes
-        n_rows = _rows_written(tmp_dir)
-        os.replace(tmp_dir, final_dir)
-        wall = time.time() - t0
-        manifest.append(PartitionResult(
-            partition_id=s, status="completed",
-            input_files=[os.path.relpath(p, out_dir) for p in
-                         shard_files[:4]] + (
-                             [f"... {len(shard_files)} files"]
-                             if len(shard_files) > 4 else []),
-            n_rows=n_rows, wall_s=round(wall, 3),
-            rows_per_s=round(n_rows / wall, 1) if wall > 0 else 0.0,
-            stage_versions=merge_versions,
-        ))
-        stats["shards_completed"] += 1
-    if stats["shards_skipped"] + stats["shards_completed"] == n_shards:
-        if not keep_tag_dir:
-            shutil.rmtree(tag_dir, ignore_errors=True)
-        manifest.append(PartitionResult(
-            partition_id=-2, status="completed",
-            input_files=[os.path.basename(files[0]),
-                         f"... {len(files)} files"],
-            n_rows=0, wall_s=0.0, rows_per_s=0.0,
-            stage_versions=run_versions,
-        ))
-    return stats
 
 
 def shard_oracle_sql(table_sql: str, id_col: str = "doc_id",

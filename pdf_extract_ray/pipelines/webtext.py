@@ -294,8 +294,7 @@ def webtext_run(
     import pyarrow.parquet as pq
     import ray.data as rd
 
-    from pdf_extract_ray.pipelines.runner import _rows_written
-    from pdf_extract_ray.state.manifest import run_partitioned
+    from pdf_extract_ray.state.manifest import rows_written, run_partitioned
     from pdf_extract_ray.stages.lm import DEFAULT_TAIL_MIN
     from pdf_extract_ray import __version__
 
@@ -441,7 +440,7 @@ def webtext_run(
             tiers.write_parquet(os.path.join(staging, f"part={batch[0][0]}"),
                                 partition_cols=part_cols,
                                 min_rows_per_file=min_rows_per_file)
-        return {pid: _rows_written(os.path.join(staging, f"part={pid}"))
+        return {pid: rows_written(os.path.join(staging, f"part={pid}"))
                 for pid, _ in batch}
 
     files = sorted(glob.glob(input_glob))

@@ -26,16 +26,21 @@ Design (SURVEY.md §4.2):
   the analogue of ``extraction_stats`` / ``batch_summary_stats``
   (database.py:96-125);
 * idempotent by construction: re-running a completed partition is a no-op
-  (fixes the reference's double-insert wart, SURVEY.md §4.1).
+  (fixes the reference's double-insert wart, SURVEY.md §4.1);
+* a later phase that reads a whole earlier phase (a url-hash bucket of a
+  two-phase run, a global pass) commits its partitions the same way
+  through :func:`commit_phase`, under an identity that
+  :func:`dependent_versions` derives from the earlier phase's.
 """
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import shutil
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 
@@ -73,13 +78,6 @@ class Manifest:
                         pass  # torn tail write from a crash: ignore
         return rows
 
-    def completed_ids(self) -> set[int]:
-        done = set()
-        for r in self.read():
-            if r.get("status") == "completed":
-                done.add(r["partition_id"])
-        return done
-
     def append(self, result: PartitionResult) -> None:
         row = dict(result.__dict__)
         row["finished_at"] = row["finished_at"] or time.strftime(
@@ -91,15 +89,99 @@ class Manifest:
             f.flush()
             os.fsync(f.fileno())
 
-    # --- reporting (A3/A4/J9 analogues over the manifest) -----------------
-    def status_rollup(self) -> dict[str, int]:
-        out: dict[str, int] = {}
+    def completed(self) -> dict[int, dict]:
+        """The ``stage_versions`` each partition id last completed under.
+        The latest row per partition wins: a later completion under other
+        versions replaces it, and a later failure voids it (the failed
+        re-run destroyed the old output before failing)."""
+        done: dict[int, dict] = {}
         for r in self.read():
-            out[r["status"]] = out.get(r["status"], 0) + 1
-        return out
+            if r.get("status") == "completed":
+                done[r["partition_id"]] = r.get("stage_versions") or {}
+            elif r.get("status") == "failed":
+                done.pop(r.get("partition_id"), None)
+        return done
 
-    def failed(self) -> list[dict]:
-        return [r for r in self.read() if r["status"] == "failed"]
+
+def rows_written(out_dir: str) -> int:
+    """Parquet rows under ``out_dir``; ``**`` also counts
+    ``partition_cols`` layouts (e.g. ``tier=<label>/`` subdirs)."""
+    import pyarrow.parquet as pq
+
+    return sum(pq.ParquetFile(p).metadata.num_rows
+               for p in glob.glob(os.path.join(out_dir, "**", "*.parquet"),
+                                  recursive=True))
+
+
+def _commit(manifest: Manifest, tmp_dir: str, final_dir: str, *,
+            partition_id: int, input_files: list[str], n_rows: int,
+            wall: float, stage_versions: dict,
+            batch: int | None = None) -> None:
+    """Rename one written partition into place, then record it.  A
+    zero-row partition is legitimate (e.g. every page in it was
+    robots-filtered) and Ray's empty ``write_parquet`` creates no
+    directory, so an empty one is committed: resume then skips it."""
+    os.makedirs(tmp_dir, exist_ok=True)
+    os.replace(tmp_dir, final_dir)
+    manifest.append(PartitionResult(
+        partition_id=partition_id, status="completed",
+        input_files=input_files, n_rows=n_rows, wall_s=round(wall, 3),
+        rows_per_s=round(n_rows / wall, 1) if wall > 0 else 0.0,
+        stage_versions=stage_versions, batch=batch,
+    ))
+
+
+def commit_phase(
+    manifest: Manifest,
+    done: dict[int, dict],
+    out_dir: str,
+    name: str,
+    partition_id: int,
+    write: Callable[[str], list[str]],
+    stage_versions: dict,
+) -> bool:
+    """Run and commit one partition of a phase that is not a partition of
+    input files — one bucket of a two-phase run, or a global pass — as
+    ``out_dir/<name>/``.
+
+    ``done`` is :meth:`Manifest.completed`, read once per phase.  If it
+    holds ``partition_id`` under ``stage_versions`` nothing runs and the
+    result is False.  Otherwise partial and stale output is discarded,
+    ``write(tmp_dir) -> input_files`` writes the partition under
+    ``out_dir/.tmp_<name>/`` and names its inputs for the lineage row,
+    and the partition is committed atomically; the result is True."""
+    if done.get(partition_id) == stage_versions:
+        return False
+    tmp_dir = os.path.join(out_dir, f".tmp_{name}")
+    final_dir = os.path.join(out_dir, name)
+    shutil.rmtree(tmp_dir, ignore_errors=True)
+    shutil.rmtree(final_dir, ignore_errors=True)
+    t0 = time.time()
+    input_files = write(tmp_dir)
+    _commit(manifest, tmp_dir, final_dir, partition_id=partition_id,
+            input_files=input_files, n_rows=rows_written(tmp_dir),
+            wall=time.time() - t0, stage_versions=stage_versions)
+    return True
+
+
+def dependent_versions(upstream: dict, phase: str,
+                       n_upstream_partitions: int) -> dict:
+    """Identity of a phase that reads a whole upstream phase's output:
+    the upstream identity, the phase name and the upstream partition
+    count.  An upstream flag change or a new partition redoes it."""
+    return dict(upstream, phase=phase,
+                n_upstream_partitions=str(n_upstream_partitions))
+
+
+def mark_complete(manifest: Manifest, partition_id: int,
+                  stage_versions: dict, input_files: list[str]) -> None:
+    """Record a zero-row completion that commits no directory (a
+    run-complete marker)."""
+    manifest.append(PartitionResult(
+        partition_id=partition_id, status="completed",
+        input_files=input_files, n_rows=0, wall_s=0.0, rows_per_s=0.0,
+        stage_versions=stage_versions,
+    ))
 
 
 def plan_partitions(input_files: Sequence[str], files_per_partition: int = 4) -> list[list[str]]:
@@ -175,15 +257,8 @@ def run_partitioned(
     # skip a completed partition only if it was produced by THIS pipeline
     # configuration — a partition completed under different stage_versions
     # (changed flags, rules, engine) is stale output and must be redone,
-    # never silently kept (latest manifest row per partition wins)
-    done: dict[int, dict] = {}
-    for r in manifest.read():
-        if r.get("status") == "completed":
-            done[r["partition_id"]] = r.get("stage_versions") or {}
-        elif r.get("status") == "failed":
-            # a failed re-run (e.g. under new versions) destroyed the old
-            # part dir before failing — the earlier completion is void
-            done.pop(r.get("partition_id"), None)
+    # never silently kept
+    done = manifest.completed()
     os.makedirs(out_dir, exist_ok=True)
     pending = [pid for pid in range(len(plan)) if done.get(pid) != versions]
 
@@ -228,19 +303,10 @@ def run_partitioned(
             return
         wall = (time.time() - t0) / len(batch)
         for pid in batch:
-            # a zero-row partition is legitimate (e.g. every page in it
-            # was robots-filtered) — Ray's empty write_parquet creates
-            # no directory, but the atomic rename + manifest row must
-            # still happen so resume skips it
-            part_dir = os.path.join(staging, f"part={pid}")
-            os.makedirs(part_dir, exist_ok=True)
-            os.replace(part_dir, os.path.join(out_dir, f"part={pid}"))
-            manifest.append(PartitionResult(
-                partition_id=pid, status="completed", input_files=plan[pid],
-                n_rows=n_rows[pid], wall_s=round(wall, 3),
-                rows_per_s=round(n_rows[pid] / wall, 1) if wall > 0 else 0.0,
-                stage_versions=versions, batch=batch[0],
-            ))
+            _commit(manifest, os.path.join(staging, f"part={pid}"),
+                    os.path.join(out_dir, f"part={pid}"), partition_id=pid,
+                    input_files=plan[pid], n_rows=n_rows[pid], wall=wall,
+                    stage_versions=versions, batch=batch[0])
             stats["completed"] += 1
         shutil.rmtree(staging, ignore_errors=True)
 

@@ -165,6 +165,43 @@ def test_links_run_resume_and_global(ray_session, tmp_path):
     assert stats2["skipped"] == 2 and stats2["global"] == "skipped"
 
 
+def test_links_run_global_follows_respect_robots(ray_session, tmp_path):
+    """A flag that redoes the partitions redoes the global merge too:
+    after toggling ``respect_robots`` on, ``global/`` equals a fresh
+    run's, without the nofollow page's edge."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from pdf_extract_ray.pipelines.linkgraph import links_run
+
+    src = tmp_path / "pages"
+    src.mkdir()
+    pq.write_table(pa.table({
+        "url": ["http://a.example/p", "http://c.example/p"],
+        "html": ['<meta name="robots" content="nofollow">'
+                 '<a href="http://b.example/">x</a>',
+                 '<a href="http://d.example/">y</a>'],
+    }), src / "p0.parquet")
+
+    def run(out, **kw):
+        return links_run(str(src / "*.parquet"), str(out),
+                         files_per_partition=1, min_rows_per_file=1, **kw)
+
+    def graph(out):
+        return sorted(rd.read_parquet(str(out / "global")).to_pandas()
+                      .itertuples(index=False))
+
+    out = tmp_path / "out"
+    assert run(out)["global"] == "completed"
+    assert len(graph(out)) == 2
+    toggled = run(out, respect_robots=True)
+    assert toggled["completed"] == 1 and toggled["global"] == "completed"
+    fresh = tmp_path / "fresh"
+    run(fresh, respect_robots=True)
+    assert graph(out) == graph(fresh) == [("c.example", "d.example", 1)]
+
+
 def test_url_path_rollup_sql_parity_and_edges(ray_session):
     import duckdb
     import numpy as np

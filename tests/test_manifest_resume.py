@@ -28,13 +28,15 @@ def test_manifest_append_read_rollup(tmp_path):
     m = Manifest(str(tmp_path / "m.jsonl"))
     m.append(PartitionResult(0, "completed", ["a"], 10, 1.0, 10.0, {"v": "1"}))
     m.append(PartitionResult(1, "failed", ["b"], 0, 0.5, 0.0, {"v": "1"}, error="boom"))
-    assert m.completed_ids() == {0}
-    assert m.status_rollup() == {"completed": 1, "failed": 1}
-    assert m.failed()[0]["error"] == "boom"
+    rows = m.read()
+    assert [(r["partition_id"], r["status"]) for r in rows] == [
+        (0, "completed"), (1, "failed")]
+    assert rows[1]["error"] == "boom"
+    assert m.completed() == {0: {"v": "1"}}
     # torn tail line is tolerated
     with open(m.path, "a") as f:
         f.write('{"partition_id": 2, "status": "comp')
-    assert m.completed_ids() == {0}
+    assert m.read() == rows
 
 
 def _tracking_pipeline(log, fail_on=frozenset()):
@@ -530,3 +532,36 @@ def test_status_rollup_of_finished_extract(ray_session, tmp_path, capsys):
     assert report["rollup"] == {"completed": 3}
     assert report["rows_total"] == sum(r["n_rows"] for r in rows)
     assert report["failed"] == []
+
+
+def test_status_counts_partitions_not_phase_rows(ray_session, tmp_path, capsys):
+    """The global pass's row (partition_id -1) is a phase over the
+    partitions' output: ``status`` lists it under ``phases`` and leaves it
+    out of the rollup, ``rows_total`` and ``mean_rows_per_s``."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from pdf_extract_ray.__main__ import main
+
+    src = tmp_path / "pairs"
+    src.mkdir()
+    for shard in range(4):
+        pq.write_table(pa.Table.from_pylist([
+            {"doc_id": shard * 100 + i, "kr_text": f"문서 {shard} 문장 {i}.",
+             "en_text": f"document {shard} sentence {i}."}
+            for i in range(10)]), src / f"s{shard}.parquet")
+    out = str(tmp_path / "out")
+    assert main(["quality", "--input", str(src / "*.parquet"), "--out", out,
+                 "--files-per-partition", "2", "--global-dedup",
+                 "--num-cpus", "1"]) == 0
+    capsys.readouterr()
+    assert main(["status", "--out", out]) == 0
+    report = json.loads(capsys.readouterr().out)
+    parts = [r for r in Manifest(os.path.join(out, "_manifest.jsonl")).read()
+             if r["partition_id"] >= 0]
+    assert report["rollup"] == {"completed": 2}
+    assert report["rows_total"] == 40
+    assert report["mean_rows_per_s"] == round(
+        sum(r["rows_per_s"] for r in parts) / 2, 1)
+    assert report["phases"] == [{"partition_id": -1, "phase": "global_dedup",
+                                 "status": "completed", "n_rows": 40}]

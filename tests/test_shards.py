@@ -131,6 +131,27 @@ def test_changed_n_shards_invalidates_tag_pass(ray_session, tmp_path):
         range(40), n_shards=4, method="fast")  # shards_run default
 
 
+def test_switching_back_redoes_a_replaced_run(ray_session, tmp_path):
+    """A finished run's marker does not outlive its shards: after a run
+    under another method replaced them, switching back redoes them."""
+    src = tmp_path / "corpus"
+    _write_corpus(src, n_docs=40, files=2)
+    out = str(tmp_path / "out")
+
+    def run(method):
+        return shards_run(str(src / "*.parquet"), out, n_shards=2,
+                          method=method, files_per_partition=1,
+                          min_rows_per_file=1_000)
+
+    run("fast")
+    run("md5")
+    assert run("fast")["shards_completed"] == 2
+    assert _read_permutation(out) == permutation_reference(
+        range(40), n_shards=2, method="fast")
+    assert _read_permutation(out) != permutation_reference(
+        range(40), n_shards=2, method="md5")
+
+
 def test_mostly_empty_shards_complete(ray_session, tmp_path):
     src = tmp_path / "corpus"
     src.mkdir()
